@@ -164,7 +164,8 @@ func readBenchFile(path string) (benchFile, error) {
 // mergeBench carries prev's experiments into cur: entries re-run this
 // invocation keep their fresh results (in prev's position), entries
 // not re-run survive untouched, and brand-new IDs append in run order.
-// The header always describes the current invocation.
+// The header describes the current invocation, except TotalMS, which
+// sums the merged entries' wall times so it covers the whole record.
 func mergeBench(prev, cur benchFile) benchFile {
 	fresh := make(map[string]benchExperiment, len(cur.Experiments))
 	for _, e := range cur.Experiments {
@@ -185,6 +186,10 @@ func mergeBench(prev, cur benchFile) benchFile {
 		}
 	}
 	cur.Experiments = merged
+	cur.TotalMS = 0
+	for _, e := range merged {
+		cur.TotalMS += e.WallMS
+	}
 	return cur
 }
 
@@ -366,7 +371,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d experiments, total %.0f ms)\n",
-			*outPath, len(outBench.Experiments), bench.TotalMS)
+			*outPath, len(outBench.Experiments), outBench.TotalMS)
 	}
 	if refBench != nil {
 		if err := diffThroughput(*refBench, bench, throughputRegressionTolerance); err != nil {

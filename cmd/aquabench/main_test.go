@@ -118,10 +118,16 @@ func TestMergeBenchCarriesUnrunExperiments(t *testing.T) {
 		entry("fig09", goodputSeries("per", 1)),
 		entry("macload", goodputSeries("goodput old", 10)),
 	)
+	prev.Experiments[0].WallMS = 100
+	prev.Experiments[1].WallMS = 7000
+	prev.TotalMS = 7100
 	cur := fileWith(
 		entry("macload", goodputSeries("goodput new", 12)),
 		entry("macsir", goodputSeries("survival", 1)),
 	)
+	cur.Experiments[0].WallMS = 5000
+	cur.Experiments[1].WallMS = 900
+	cur.TotalMS = 5950
 	got := mergeBench(prev, cur)
 	if len(got.Experiments) != 3 {
 		t.Fatalf("merged %d experiments, want 3: %+v", len(got.Experiments), got.Experiments)
@@ -134,6 +140,11 @@ func TestMergeBenchCarriesUnrunExperiments(t *testing.T) {
 	}
 	if got.Experiments[2].ID != "macsir" {
 		t.Fatalf("new experiment not appended: %+v", got.Experiments)
+	}
+	// The header's total covers every merged entry, not just this
+	// invocation's: 100 carried + 5000 + 900 re-run.
+	if got.TotalMS != 6000 {
+		t.Fatalf("merged total_ms %.1f, want the entries' sum 6000", got.TotalMS)
 	}
 }
 

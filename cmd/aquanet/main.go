@@ -5,11 +5,10 @@
 // mode goes beyond the paper: it drives a live Network with Poisson
 // offered load per node and reports delivered goodput, latency
 // percentiles, collision fraction and scheduler counters for one
-// offered-load point (the sweep lives in `aquabench -macload`);
-// -async drives the same load fire-and-forget through the per-node
-// transmit queues instead of one blocking goroutine per message. The
-// -relay mode routes a bulk payload down a multi-hop relay line —
-// store-and-forward over the carrier-sense MAC, per-packet band
+// offered-load point (the sweep lives in `aquabench -macload`),
+// enqueueing every message on its node's transmit queue in arrival
+// order. The -relay mode routes a bulk payload down a multi-hop relay
+// line — store-and-forward over the carrier-sense MAC, per-packet band
 // re-adaptation, per-hop progress — and reports end-to-end goodput
 // and latency (the sweep lives in `aquabench -multihop`); -pipelined
 // runs the transfer over per-relay transmit queues so packets overlap
@@ -37,10 +36,9 @@
 //	        [-csrange 0] [-preamble-aware]
 //	aquanet -load [-nodes 8] [-rate 0.05] [-duration 120]
 //	        [-mode envelope|waveform] [-no-cs] [-workers 0]
-//	        [-async] [-queue 64]
 //	        [-seed 1] [-env bridge] [-csrange 0] [-preamble-aware]
 //	aquanet -relay [-hops 3] [-spacing 25] [-bulk 32] [-policy minhop]
-//	        [-pipelined] [-queue 64] [-persist 0] [-adaptive-backoff]
+//	        [-pipelined] [-persist 0] [-adaptive-backoff]
 //	        [-mode envelope|waveform] [-seed 1] [-env bridge] [-csrange 0]
 //	aquanet -scale [-pods-x 5] [-pods-y 5] [-podsize 10] [-msgs 8]
 //	        [-workers 0] [-seed 1] [-env bridge] [-csrange 30]
@@ -50,7 +48,7 @@
 //	        [-streams 1] [-range 25] [-window 0] [-stream-retries 4] [-rto 0]
 //	        [-mode envelope|waveform] [-workers 0] [-seed 1] [-env bridge]
 //	aquanet -mobility [-hops 3] [-spacing 25] [-bulk 32] [-chunk 8]
-//	        [-drift 1] [-pipelined] [-queue 64] [-workers 0] [-seed 1]
+//	        [-drift 1] [-pipelined] [-workers 0] [-seed 1]
 //	        [-env bridge] [-csrange 0]
 package main
 
@@ -119,8 +117,7 @@ func parseMode(mode string) (aquago.ContentionMode, error) {
 // rates, bad durations) is rejected by the point's own Validate, so
 // the CLI and the harness cannot drift apart on what is runnable.
 func buildLoadPoint(nodes int, rate, duration float64, mode string, noCS, preambleAware bool,
-	workers int, async bool, queueCap int, seed int64, csRange float64,
-	env aquago.Environment) (exp.MacLoadPoint, error) {
+	workers int, seed int64, csRange float64, env aquago.Environment) (exp.MacLoadPoint, error) {
 	if err := validateCommonFlags(seed, csRange); err != nil {
 		return exp.MacLoadPoint{}, err
 	}
@@ -130,9 +127,6 @@ func buildLoadPoint(nodes int, rate, duration float64, mode string, noCS, preamb
 	}
 	if workers < 0 {
 		return exp.MacLoadPoint{}, fmt.Errorf("-workers %d: use 0 for one per core", workers)
-	}
-	if !async && queueCap != aquago.DefaultTxQueueCap {
-		return exp.MacLoadPoint{}, fmt.Errorf("-queue %d only matters with -async", queueCap)
 	}
 	p := exp.MacLoadPoint{
 		Pods:          1,
@@ -147,10 +141,6 @@ func buildLoadPoint(nodes int, rate, duration float64, mode string, noCS, preamb
 		Retries:       -1,
 		Workers:       workers,
 		Env:           env,
-	}
-	if async {
-		p.Queued = true
-		p.QueueCap = queueCap
 	}
 	if err := p.Validate(); err != nil {
 		return exp.MacLoadPoint{}, err
@@ -275,7 +265,7 @@ func parsePolicy(policy string) (aquago.RoutingPolicy, error) {
 // measurement point. Hop-count, spacing and payload abuse is rejected
 // by the point's own Validate, shared with the multihop harness.
 func buildRelayPoint(hops int, spacing float64, bulk int, mode, policy string,
-	pipelined bool, queueCap int, persist float64, adaptiveBackoff bool,
+	pipelined bool, persist float64, adaptiveBackoff bool,
 	seed int64, csRange float64, env aquago.Environment) (exp.MultiHopPoint, error) {
 	if err := validateCommonFlags(seed, csRange); err != nil {
 		return exp.MultiHopPoint{}, err
@@ -288,9 +278,6 @@ func buildRelayPoint(hops int, spacing float64, bulk int, mode, policy string,
 	if err != nil {
 		return exp.MultiHopPoint{}, err
 	}
-	if !pipelined && queueCap != aquago.DefaultTxQueueCap {
-		return exp.MultiHopPoint{}, fmt.Errorf("-queue %d only matters with -pipelined", queueCap)
-	}
 	p := exp.MultiHopPoint{
 		Hops:            hops,
 		SpacingM:        spacing,
@@ -298,15 +285,12 @@ func buildRelayPoint(hops int, spacing float64, bulk int, mode, policy string,
 		PayloadBytes:    bulk,
 		Mode:            m,
 		Policy:          pol,
+		Pipelined:       pipelined,
 		Persist:         persist,
 		AdaptiveBackoff: adaptiveBackoff,
 		Seed:            seed,
 		Retries:         -1,
 		Env:             env,
-	}
-	if pipelined {
-		p.Pipelined = true
-		p.QueueCap = queueCap
 	}
 	if err := p.Validate(); err != nil {
 		return exp.MultiHopPoint{}, err
@@ -318,13 +302,10 @@ func buildRelayPoint(hops int, spacing float64, bulk int, mode, policy string,
 // drifting-diver measurement point; the point's own Validate (shared
 // with the mobility harness) rejects hop/spacing/payload/drift abuse.
 func buildMobilityPoint(hops int, spacing float64, bulk, chunk int, drift float64,
-	pipelined bool, queueCap, workers int, seed int64, csRange float64,
+	pipelined bool, workers int, seed int64, csRange float64,
 	env aquago.Environment) (exp.MobilityPoint, error) {
 	if err := validateCommonFlags(seed, csRange); err != nil {
 		return exp.MobilityPoint{}, err
-	}
-	if !pipelined && queueCap != aquago.DefaultTxQueueCap {
-		return exp.MobilityPoint{}, fmt.Errorf("-queue %d only matters with -pipelined", queueCap)
 	}
 	p := exp.MobilityPoint{
 		Hops:         hops,
@@ -333,14 +314,11 @@ func buildMobilityPoint(hops int, spacing float64, bulk, chunk int, drift float6
 		PayloadBytes: bulk,
 		ChunkBytes:   chunk,
 		DriftSpeedMS: drift,
+		Pipelined:    pipelined,
 		Seed:         seed,
 		Retries:      -1,
 		Env:          env,
 		Workers:      workers,
-	}
-	if pipelined {
-		p.Pipelined = true
-		p.QueueCap = queueCap
 	}
 	if err := p.Validate(); err != nil {
 		return exp.MobilityPoint{}, err
@@ -364,9 +342,6 @@ func main() {
 	mode := flag.String("mode", "envelope", "contention mode: envelope or waveform (-load)")
 	noCS := flag.Bool("no-cs", false, "disable carrier sense (-load; Fig 19 mode always runs both)")
 	workers := flag.Int("workers", 0, "network scheduler worker slots, 0 = one per core (-load)")
-	async := flag.Bool("async", false, "drive the load through the async transmit queues, fire-and-forget (-load)")
-	queueCap := flag.Int("queue", aquago.DefaultTxQueueCap,
-		"per-node transmit queue capacity (-load -async, -relay -pipelined)")
 	relay := flag.Bool("relay", false, "relay mode: route a bulk payload down a multi-hop line")
 	pipelined := flag.Bool("pipelined", false, "pipeline the bulk transfer over per-relay transmit queues (-relay)")
 	persist := flag.Float64("persist", 0, "p-persistent MAC transmit probability in (0,1], 0 = classic backoff (-relay)")
@@ -412,7 +387,7 @@ func main() {
 	}
 	if *mobility {
 		pt, err := buildMobilityPoint(*hops, *spacing, *bulk, *chunk, *drift,
-			*pipelined, *queueCap, *workers, *seed, *csRange, env)
+			*pipelined, *workers, *seed, *csRange, env)
 		if err != nil {
 			fatal(err)
 		}
@@ -455,7 +430,7 @@ func main() {
 	}
 	if *relay {
 		pt, err := buildRelayPoint(*hops, *spacing, *bulk, *mode, *policy,
-			*pipelined, *queueCap, *persist, *adaptiveBackoff, *seed, *csRange, env)
+			*pipelined, *persist, *adaptiveBackoff, *seed, *csRange, env)
 		if err != nil {
 			fatal(err)
 		}
@@ -464,7 +439,7 @@ func main() {
 	}
 	if *load {
 		pt, err := buildLoadPoint(*nodes, *rate, *duration, *mode, *noCS, *preambleAware,
-			*workers, *async, *queueCap, *seed, *csRange, env)
+			*workers, *seed, *csRange, env)
 		if err != nil {
 			fatal(err)
 		}
@@ -491,12 +466,8 @@ func runLoad(pt exp.MacLoadPoint, envName string) {
 	case pt.PreambleAware:
 		sensing = "preamble-aware carrier sense"
 	}
-	driver := "blocking sends"
-	if pt.Queued {
-		driver = fmt.Sprintf("async transmit queues (cap %d)", pt.QueueCap)
-	}
-	fmt.Printf("Offered-load simulation: %d nodes, %.3g msg/s/node over %.4g s, %s, %s mode, %s, %s\n",
-		pt.PodSize, pt.RateHz, pt.DurationS, envName, modeName, sensing, driver)
+	fmt.Printf("Offered-load simulation: %d nodes, %.3g msg/s/node over %.4g s, %s, %s mode, %s\n",
+		pt.PodSize, pt.RateHz, pt.DurationS, envName, modeName, sensing)
 	res, err := exp.RunMacLoadPoint(pt)
 	if err != nil {
 		fatal(err)
@@ -512,9 +483,9 @@ func runLoad(pt exp.MacLoadPoint, envName string) {
 	if res.MakespanS > 0 {
 		util = res.Sched.AirtimeS / res.MakespanS
 	}
-	fmt.Printf("scheduler   %d granted, %d committed, airtime %.1f s (util %.0f%%), peak concurrency %d on %d workers, conflict width %d\n",
+	fmt.Printf("scheduler   %d granted, %d committed, airtime %.1f s (util %.0f%%), peak concurrency %d on %d workers\n",
 		res.Sched.Granted, res.Sched.Committed, res.Sched.AirtimeS, 100*util,
-		res.Sched.MaxConcurrent, res.Sched.Workers, res.ConflictWidth)
+		res.Sched.MaxConcurrent, res.Sched.Workers)
 }
 
 // runRelay measures one bulk relay transfer, printing per-hop
@@ -526,7 +497,7 @@ func runRelay(pt exp.MultiHopPoint, envName string) {
 	}
 	transfer := "store-and-forward"
 	if pt.Pipelined {
-		transfer = fmt.Sprintf("pipelined (queue cap %d)", pt.QueueCap)
+		transfer = "pipelined"
 	}
 	fmt.Printf("Relay simulation: %d bytes over %d hops (%g m spacing), %s, %s mode, %v routing, %s\n",
 		pt.PayloadBytes, pt.Hops, pt.SpacingM, envName, modeName, pt.Policy, transfer)
@@ -557,7 +528,7 @@ func runRelay(pt exp.MultiHopPoint, envName string) {
 func runMobility(pt exp.MobilityPoint, envName string) {
 	transfer := "store-and-forward with in-flight route splices"
 	if pt.Pipelined {
-		transfer = fmt.Sprintf("pipelined (queue cap %d), fresh route per chunk", pt.QueueCap)
+		transfer = "pipelined, fresh route per chunk"
 	}
 	fmt.Printf("Mobility simulation: %d bytes in %d-byte chunks over %d hops (%g m spacing), diver drifting %g m/s, %s, %s\n",
 		pt.PayloadBytes, pt.ChunkBytes, pt.Hops, pt.SpacingM, pt.DriftSpeedMS, envName, transfer)

@@ -61,13 +61,10 @@ func TestBuildLoadPoint(t *testing.T) {
 		noCS          bool
 		preambleAware bool
 		workers       int
-		async         bool
-		queueCap      int
 		seed          int64
 		csRange       float64
 	}
-	good := args{nodes: 8, rate: 0.05, dur: 120, mode: "envelope",
-		queueCap: aquago.DefaultTxQueueCap, seed: 1}
+	good := args{nodes: 8, rate: 0.05, dur: 120, mode: "envelope", seed: 1}
 	cases := []struct {
 		name    string
 		mutate  func(*args)
@@ -88,11 +85,6 @@ func TestBuildLoadPoint(t *testing.T) {
 		{"runaway schedule", func(a *args) { a.rate = 500; a.dur = 1e6 }, "cap"},
 		{"bad mode", func(a *args) { a.mode = "acoustic" }, "pick envelope or waveform"},
 		{"negative workers", func(a *args) { a.workers = -2 }, "-workers"},
-		{"async default queue", func(a *args) { a.async = true }, ""},
-		{"async tight queue", func(a *args) { a.async = true; a.queueCap = 16 }, ""},
-		{"zero queue capacity", func(a *args) { a.async = true; a.queueCap = 0 }, "capacity"},
-		{"negative queue capacity", func(a *args) { a.async = true; a.queueCap = -4 }, "capacity"},
-		{"queue without async", func(a *args) { a.queueCap = 16 }, "-async"},
 		{"negative seed", func(a *args) { a.seed = -1 }, "out of range"},
 		{"NaN csrange", func(a *args) { a.csRange = math.NaN() }, "not a finite distance"},
 		{"negative csrange", func(a *args) { a.csRange = -3 }, "cannot be negative"},
@@ -101,7 +93,7 @@ func TestBuildLoadPoint(t *testing.T) {
 		a := good
 		tc.mutate(&a)
 		pt, err := buildLoadPoint(a.nodes, a.rate, a.dur, a.mode, a.noCS, a.preambleAware,
-			a.workers, a.async, a.queueCap, a.seed, a.csRange, aquago.Bridge)
+			a.workers, a.seed, a.csRange, aquago.Bridge)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -113,9 +105,6 @@ func TestBuildLoadPoint(t *testing.T) {
 			if pt.PodSize != a.nodes || pt.Pods != 1 || pt.RateHz != a.rate ||
 				pt.DurationS != a.dur || pt.CarrierSense == a.noCS {
 				t.Errorf("%s: flags did not map onto the point: %+v", tc.name, pt)
-			}
-			if pt.Queued != a.async || (a.async && pt.QueueCap != a.queueCap) {
-				t.Errorf("%s: async flags did not map onto the point: %+v", tc.name, pt)
 			}
 		}
 	}
@@ -301,14 +290,12 @@ func TestBuildRelayPoint(t *testing.T) {
 		mode      string
 		policy    string
 		pipelined bool
-		queueCap  int
 		persist   float64
 		adaptive  bool
 		seed      int64
 		csRange   float64
 	}
-	good := args{hops: 3, spacing: 25, bulk: 32, mode: "envelope", policy: "minhop",
-		queueCap: aquago.DefaultTxQueueCap, seed: 1}
+	good := args{hops: 3, spacing: 25, bulk: 32, mode: "envelope", policy: "minhop", seed: 1}
 	cases := []struct {
 		name    string
 		mutate  func(*args)
@@ -332,8 +319,6 @@ func TestBuildRelayPoint(t *testing.T) {
 			a.persist = 0.7
 			a.adaptive = true
 		}, ""},
-		{"zero queue capacity", func(a *args) { a.pipelined = true; a.queueCap = 0 }, "capacity"},
-		{"queue without pipelined", func(a *args) { a.queueCap = 8 }, "-pipelined"},
 		{"NaN persist", func(a *args) { a.persist = math.NaN() }, "persistence"},
 		{"negative persist", func(a *args) { a.persist = -0.2 }, "persistence"},
 		{"persist above one", func(a *args) { a.persist = 1.5 }, "persistence"},
@@ -344,7 +329,7 @@ func TestBuildRelayPoint(t *testing.T) {
 		a := good
 		tc.mutate(&a)
 		pt, err := buildRelayPoint(a.hops, a.spacing, a.bulk, a.mode, a.policy,
-			a.pipelined, a.queueCap, a.persist, a.adaptive, a.seed, a.csRange, aquago.Bridge)
+			a.pipelined, a.persist, a.adaptive, a.seed, a.csRange, aquago.Bridge)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -357,8 +342,7 @@ func TestBuildRelayPoint(t *testing.T) {
 				pt.Retries != -1 {
 				t.Errorf("%s: flags did not map onto the point: %+v", tc.name, pt)
 			}
-			if pt.Pipelined != a.pipelined || (a.pipelined && pt.QueueCap != a.queueCap) ||
-				pt.Persist != a.persist || pt.AdaptiveBackoff != a.adaptive {
+			if pt.Pipelined != a.pipelined || pt.Persist != a.persist || pt.AdaptiveBackoff != a.adaptive {
 				t.Errorf("%s: pipelined flags did not map onto the point: %+v", tc.name, pt)
 			}
 		}

@@ -76,15 +76,6 @@ type MacLoadPoint struct {
 	Workers int
 	// Env is the deployment site (zero value = Bridge).
 	Env aquago.Environment
-	// Queued drives the load through the async transmit subsystem
-	// instead of one blocking Send per goroutine: the driver enqueues
-	// every scheduled message fire-and-forget (NotBeforeS = arrival
-	// time) and the per-node transmit daemons do the rest.
-	Queued bool
-	// QueueCap sizes each node's transmit queue in queued mode
-	// (required, at least 1 — aquago.DefaultTxQueueCap is the usual
-	// choice); setting it without Queued is an error.
-	QueueCap int
 }
 
 // Validate rejects parameter combinations that cannot run or would
@@ -111,10 +102,6 @@ func (p MacLoadPoint) Validate() error {
 			float64(nodes)*p.RateHz*p.DurationS, maxOfferedMsgs)
 	case p.Mode != aquago.EnvelopeContention && p.Mode != aquago.WaveformContention:
 		return fmt.Errorf("macload: unknown contention mode %d", p.Mode)
-	case p.Queued && p.QueueCap < 1:
-		return fmt.Errorf("macload: queued mode needs a transmit queue capacity of at least 1, got %d", p.QueueCap)
-	case !p.Queued && p.QueueCap != 0:
-		return fmt.Errorf("macload: queue capacity %d set without queued mode", p.QueueCap)
 	}
 	return nil
 }
@@ -142,10 +129,6 @@ type MacLoadResult struct {
 	// MakespanS is when the last attempt left the air (at least
 	// DurationS).
 	MakespanS float64
-	// ConflictWidth is the widest batch of mutually non-interfering
-	// sends the driver could hand the scheduler at once — the
-	// deterministic measure of the concurrency geometry allowed.
-	ConflictWidth int
 	// Sched snapshots the network's scheduler counters (Granted,
 	// Committed and AirtimeS are deterministic; MaxConcurrent is a
 	// wall-clock observation).
@@ -209,27 +192,6 @@ func buildSchedule(p MacLoadPoint) []loadMsg {
 	return out
 }
 
-// msgsConflict mirrors the scheduler's interference rule (sched.go)
-// for two scheduled sends: a shared endpoint always conflicts; with an
-// unlimited carrier-sense range everything does; with a finite range,
-// any cross-pair distance within it.
-func msgsConflict(a, b loadMsg, pos []aquago.Position, csRangeM float64) bool {
-	if a.node == b.node || a.node == b.dst || a.dst == b.node || a.dst == b.dst {
-		return true
-	}
-	if csRangeM <= 0 {
-		return true
-	}
-	for _, x := range [2]int{a.node, a.dst} {
-		for _, y := range [2]int{b.node, b.dst} {
-			if pos[x].DistanceTo(pos[y]) <= csRangeM {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // fullBandAirtime lazily computes the default full-band exchange
 // airtime — the harness's unit for converting target channel
 // utilization into per-node message rates.
@@ -242,13 +204,21 @@ var fullBandAirtime = sync.OnceValues(func() (float64, error) {
 })
 
 // RunMacLoadPoint drives one offered-load measurement on a live
-// Network. The driver replays the schedule in arrival order, handing
-// the conflict-graph scheduler the longest leading run of mutually
-// non-interfering sends as one concurrent batch (a batch of one when
-// everything shares a collision domain); batches preserve arrival
-// order, and within a batch the scheduler's own guarantee — mutually
-// non-interfering exchanges share no state — keeps the result
-// independent of goroutine interleaving and worker count.
+// Network through the per-node transmit queues: this one goroutine
+// enqueues the whole schedule in arrival order, each job floored at
+// its arrival instant (NotBeforeS), then waits the handles out. That
+// single-goroutine enqueue pattern is what the queue's dispatch gate
+// turns into a worker-count-invariant execution — interfering sends
+// run one at a time in arrival order, non-interfering ones (separate
+// pods) concurrently — so the harness restates no interference rule
+// of its own. Each queue is sized to the whole schedule, so
+// ErrQueueFull cannot occur.
+//
+// One corner differs from blocking Sends behind AdvanceClock(arrival),
+// and no test reaches it: when a send ends ErrChannelBusy with zero
+// attempts, AdvanceClock would still have moved the sender's clock to
+// the arrival instant, while a NotBeforeS floor does not. Under the
+// 300 s access deadline no sweep or golden point produces a busy drop.
 func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 	if err := p.Validate(); err != nil {
 		return MacLoadResult{}, err
@@ -257,11 +227,13 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 	if env.Name == "" {
 		env = aquago.Bridge
 	}
+	schedule := buildSchedule(p)
 	opts := []aquago.NetworkOption{
 		aquago.WithNetworkSeed(p.Seed),
 		aquago.WithContentionMode(p.Mode),
 		aquago.WithCSRange(p.CSRangeM),
 		aquago.WithNetworkWorkers(p.Workers),
+		aquago.WithTxQueueCapacity(max(1, len(schedule))),
 	}
 	if !p.CarrierSense {
 		opts = append(opts, aquago.WithoutCarrierSense())
@@ -272,23 +244,15 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 	if p.Retries >= 0 {
 		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
 	}
-	if p.Queued {
-		opts = append(opts, aquago.WithTxQueueCapacity(p.QueueCap))
-	}
 
-	// The probe records, per transmitter, when its latest committed
-	// attempt left the air — the completion instant latency is measured
-	// to. Probe calls are serialized by the network and each send reads
-	// only its own node's entry after Send returns, so the map needs
-	// just one lock.
+	// The probe records when the last committed attempt left the air —
+	// the makespan. Probe calls are serialized by the network; the lock
+	// orders them against the read after the handles resolve.
 	var probeMu sync.Mutex
-	lastFinish := make(map[aquago.DeviceID]float64)
 	maxFinish := 0.0
 	opts = append(opts, aquago.WithExchangeProbe(func(ev aquago.ExchangeEvent) {
 		probeMu.Lock()
-		end := ev.StartS + ev.AirtimeS
-		lastFinish[ev.Tx] = end
-		if end > maxFinish {
+		if end := ev.StartS + ev.AirtimeS; end > maxFinish {
 			maxFinish = end
 		}
 		probeMu.Unlock()
@@ -308,95 +272,30 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 		nodes[i] = nd
 	}
 
-	schedule := buildSchedule(p)
 	res := MacLoadResult{
 		Nodes:       len(positions),
 		OfferedMsgs: len(schedule),
 		OfferedBPS:  float64(len(schedule)*messageBits) / p.DurationS,
 		MakespanS:   p.DurationS,
 	}
-
-	var accMu sync.Mutex
-	var latencies []float64
-	var firstErr error
 	ctx := context.Background()
-
-	if p.Queued {
-		// Fire-and-forget driver: enqueue the whole schedule from this
-		// one goroutine in arrival order — the deterministic enqueue
-		// pattern the transmit queue's dispatch gate turns into a
-		// worker-count-invariant execution — then wait the handles out.
-		// No AdvanceClock: each job's NotBeforeS floors its contention
-		// start at the arrival instant. Occupancy at enqueue time races
-		// with completions, so capacity is prechecked against each
-		// node's whole scheduled backlog rather than discovered as a
-		// nondeterministic ErrQueueFull.
-		perNode := make([]int, len(nodes))
-		for _, m := range schedule {
-			perNode[m.node]++
+	handles := make([]*aquago.TxHandle, len(schedule))
+	for i, m := range schedule {
+		h, err := nodes[m.node].Enqueue(ctx, aquago.TxJob{
+			Dst:        aquago.DeviceID(m.dst),
+			Msgs:       []uint8{m.first, m.second},
+			Priority:   aquago.TxNormal,
+			NotBeforeS: m.atS,
+		})
+		if err != nil {
+			return MacLoadResult{}, fmt.Errorf("macload: enqueue node %d at %.2fs: %w", m.node, m.atS, err)
 		}
-		for i, c := range perNode {
-			if c > p.QueueCap {
-				return MacLoadResult{}, fmt.Errorf(
-					"macload: queue capacity %d below node %d's %d scheduled messages (raise -queue or lower the load)",
-					p.QueueCap, i, c)
-			}
-		}
-		handles := make([]*aquago.TxHandle, len(schedule))
-		for i, m := range schedule {
-			h, err := nodes[m.node].Enqueue(ctx, aquago.TxJob{
-				Dst:        aquago.DeviceID(m.dst),
-				Msgs:       []uint8{m.first, m.second},
-				Priority:   aquago.TxNormal,
-				NotBeforeS: m.atS,
-			})
-			if err != nil {
-				return MacLoadResult{}, fmt.Errorf("macload: enqueue node %d at %.2fs: %w", m.node, m.atS, err)
-			}
-			handles[i] = h
-		}
-		for i, h := range handles {
-			m := schedule[i]
-			sres, err := h.Wait(ctx)
-			switch {
-			case err == nil || errors.Is(err, aquago.ErrNoACK):
-				if errors.Is(err, aquago.ErrNoACK) {
-					res.NoACKs++
-				}
-				if sres.Delivered {
-					res.DeliveredMsgs++
-					if sres.Attempts > 0 {
-						latencies = append(latencies, h.EndS()-m.atS)
-					}
-				}
-			case errors.Is(err, aquago.ErrChannelBusy):
-				res.BusyDrops++
-			default:
-				return MacLoadResult{}, fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
-			}
-		}
-		// ConflictWidth stays 0: the queue's dispatch gate, not the
-		// prefix batcher, owns concurrency in queued mode.
-		probeMu.Lock()
-		if maxFinish > res.MakespanS {
-			res.MakespanS = maxFinish
-		}
-		probeMu.Unlock()
-		res.GoodputBPS = float64(res.DeliveredMsgs*messageBits) / res.MakespanS
-		_, res.CollisionFraction = net.CollisionStats()
-		res.Sched = net.SchedulerStats()
-		res.LatencyP50S = percentile(latencies, 0.50)
-		res.LatencyP90S = percentile(latencies, 0.90)
-		res.LatencyP99S = percentile(latencies, 0.99)
-		return res, nil
+		handles[i] = h
 	}
-
-	runOne := func(m loadMsg) {
-		nd := nodes[m.node]
-		nd.AdvanceClock(m.atS)
-		sres, err := nd.Send(ctx, aquago.DeviceID(m.dst), m.first, m.second)
-		accMu.Lock()
-		defer accMu.Unlock()
+	var latencies []float64
+	for i, h := range handles {
+		m := schedule[i]
+		sres, err := h.Wait(ctx)
 		switch {
 		case err == nil || errors.Is(err, aquago.ErrNoACK):
 			if errors.Is(err, aquago.ErrNoACK) {
@@ -405,49 +304,13 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 			if sres.Delivered {
 				res.DeliveredMsgs++
 				if sres.Attempts > 0 {
-					probeMu.Lock()
-					fin := lastFinish[nd.ID()]
-					probeMu.Unlock()
-					latencies = append(latencies, fin-m.atS)
+					latencies = append(latencies, h.EndS()-m.atS)
 				}
 			}
 		case errors.Is(err, aquago.ErrChannelBusy):
 			res.BusyDrops++
 		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
-			}
-		}
-	}
-
-	for i := 0; i < len(schedule); {
-		// The batch is the longest leading run of pairwise
-		// non-interfering sends: strict prefix batching preserves
-		// arrival order globally.
-		j := i + 1
-	grow:
-		for ; j < len(schedule); j++ {
-			for k := i; k < j; k++ {
-				if msgsConflict(schedule[k], schedule[j], positions, p.CSRangeM) {
-					break grow
-				}
-			}
-		}
-		if w := j - i; w > res.ConflictWidth {
-			res.ConflictWidth = w
-		}
-		var wg sync.WaitGroup
-		for _, m := range schedule[i:j] {
-			wg.Add(1)
-			go func(m loadMsg) {
-				defer wg.Done()
-				runOne(m)
-			}(m)
-		}
-		wg.Wait()
-		i = j
-		if firstErr != nil {
-			return MacLoadResult{}, firstErr
+			return MacLoadResult{}, fmt.Errorf("macload: node %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
 		}
 	}
 
@@ -701,8 +564,8 @@ func macLoadReport(cfg RunConfig, sw macLoadSweep) (Report, error) {
 		rep.Series = append(rep.Series, s)
 		lastIdx := len(reuse) - 1
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"spatial reuse: %d pods reach %.1f bps vs %.1f bps for one (conflict width %d — non-interfering pods run concurrently)",
-			sw.reusePods[lastIdx], reuse[lastIdx].GoodputBPS, reuse[0].GoodputBPS, reuse[lastIdx].ConflictWidth))
+			"spatial reuse: %d pods reach %.1f bps vs %.1f bps for one",
+			sw.reusePods[lastIdx], reuse[lastIdx].GoodputBPS, reuse[0].GoodputBPS))
 	}
 	return rep, nil
 }

@@ -12,8 +12,8 @@ import (
 // tinyMacLoadSweep is the golden regression workload: small enough to
 // run repeatedly under -race, wide enough to cross every moving part —
 // both contention modes, two carrier-sense variants, an overload
-// point, and a multi-pod spatial-reuse case that actually exercises
-// batched concurrent sends.
+// point, and a multi-pod spatial-reuse case whose pods send
+// concurrently.
 func tinyMacLoadSweep() macLoadSweep {
 	return macLoadSweep{
 		envNodes:   []int{4},
@@ -26,14 +26,21 @@ func tinyMacLoadSweep() macLoadSweep {
 	}
 }
 
+// normalizeSched zeroes the two wall-clock observation fields so
+// deep-equality compares only the deterministic part of a result.
+func normalizeSched(r MacLoadResult) MacLoadResult {
+	r.Sched.MaxConcurrent = 0
+	r.Sched.Workers = 0
+	return r
+}
+
 // TestMacLoadGoldenSeedsWorkers extends the PR 3 seeds×workers pattern
-// to the goodput harness: for fixed seeds, the full report — goodput,
+// to the goodput harness. The tiny sweep's full report — goodput,
 // latency and collision tables in both contention modes — must be
 // deeply equal whether the measurement points run serially
-// (Workers: 1) or fan out across the experiment pool (Workers: 4).
-// Inside each point the live Network also runs with its default
-// all-cores conflict-graph scheduler, so the test additionally pins
-// that network-level concurrency never leaks into results.
+// (Workers: 1) or fan out across the experiment pool (Workers: 4);
+// inside each point the live Network runs its default all-cores
+// scheduler, so network-level concurrency must not leak in either.
 func TestMacLoadGoldenSeedsWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the tiny sweep several times")
@@ -71,6 +78,63 @@ func TestMacLoadGoldenSeedsWorkers(t *testing.T) {
 			t.Fatalf("seed %d: goodput series missing a contention mode (envelope %v, waveform %v)",
 				seed, envSeen, waveSeen)
 		}
+	}
+}
+
+// TestMacLoadQueuedGoldenSeedsWorkers is the queued-driver golden:
+// single load points driven through the transmit queues must produce
+// deeply equal measurements across network worker counts (1 vs 8),
+// for several seeds, in both contention modes — the dispatch gate's
+// determinism contract, pinned end to end.
+func TestMacLoadQueuedGoldenSeedsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs live-network load points repeatedly")
+	}
+	cases := []struct {
+		mode aquago.ContentionMode
+		name string
+		size int
+		rate float64
+		dur  float64
+	}{
+		{aquago.EnvelopeContention, "envelope", 4, 0.05, 60},
+		{aquago.WaveformContention, "waveform", 3, 0.04, 50},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range []int64{3, 11} {
+				var ref MacLoadResult
+				for i, workers := range []int{1, 8} {
+					got, err := RunMacLoadPoint(MacLoadPoint{
+						Pods: 1, PodSize: tc.size,
+						RateHz: tc.rate, DurationS: tc.dur,
+						Mode:         tc.mode,
+						CarrierSense: true,
+						Seed:         seed,
+						Retries:      -1,
+						Workers:      workers,
+					})
+					if err != nil {
+						t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+					}
+					got = normalizeSched(got)
+					if got.OfferedMsgs == 0 {
+						t.Fatalf("seed %d: schedule offered no messages", seed)
+					}
+					if got.DeliveredMsgs == 0 {
+						t.Fatalf("seed %d: nothing delivered: %+v", seed, got)
+					}
+					if i == 0 {
+						ref = got
+						continue
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Fatalf("seed %d: load is worker-count dependent\nworkers=1: %+v\nworkers=%d: %+v",
+							seed, ref, workers, got)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -191,13 +255,15 @@ func TestMacLoadPointValidate(t *testing.T) {
 	}
 }
 
-// TestMacLoadSpatialReuseBatchesPods: with two pods beyond each
-// other's carrier-sense range, the driver must find conflict-free
-// batches wider than one send — the deterministic witness that the
-// conflict-graph scheduler was actually handed concurrent work.
+// TestMacLoadSpatialReuseBatchesPods: with pods beyond each other's
+// carrier-sense range, the transmit queues' dispatch gate lets the
+// pods share the air, so doubling the pods (and the offered load)
+// must raise delivered goodput well past the single pod's — at seed 7
+// two pods deliver 21.33 bps against one pod's 12.00 bps — and the
+// gate must dispatch the two pods' exchanges together.
 func TestMacLoadSpatialReuseBatchesPods(t *testing.T) {
-	res, err := RunMacLoadPoint(MacLoadPoint{
-		Pods: 2, PodSize: 3,
+	pt := MacLoadPoint{
+		Pods: 1, PodSize: 3,
 		RateHz:       0.3,
 		DurationS:    12,
 		Mode:         aquago.EnvelopeContention,
@@ -205,12 +271,38 @@ func TestMacLoadSpatialReuseBatchesPods(t *testing.T) {
 		CSRangeM:     40,
 		Seed:         7,
 		Retries:      -1,
-	})
+	}
+	one, err := RunMacLoadPoint(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ConflictWidth < 2 {
-		t.Fatalf("two isolated pods never batched concurrently (width %d): %+v", res.ConflictWidth, res)
+	// Results are worker-count invariant, so the two-pod point runs on
+	// two worker slots: the goodput figures are the same as on one,
+	// and the slots let the gate's concurrency show.
+	pt.Pods = 2
+	pt.Workers = 2
+	res, err := RunMacLoadPoint(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GoodputBPS <= 1.5*one.GoodputBPS {
+		t.Fatalf("two isolated pods deliver %.2f bps, not past 1.5x one pod's %.2f bps", res.GoodputBPS, one.GoodputBPS)
+	}
+	// Goodput is simulated time, and every node keeps its own clock, so
+	// it would look the same if the dispatch gate serialized the pods.
+	// That the gate really ran them side by side shows only in wall
+	// time: two exchanges on worker slots at once. Both pods' heads
+	// dispatch in one gate pass, so this is observed on every run
+	// tried (also at GOMAXPROCS=1), and never when the interference
+	// rule is forced to "always conflict"; a few reruns absorb an
+	// unlucky goroutine schedule.
+	for try := 1; res.Sched.MaxConcurrent < 2; try++ {
+		if try == 3 {
+			t.Fatalf("the dispatch gate never ran the two inaudible pods' exchanges at once in %d runs: %+v", try, res.Sched)
+		}
+		if res, err = RunMacLoadPoint(pt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if res.Sched.Granted < res.Sched.Committed || res.Sched.Committed == 0 {
 		t.Fatalf("scheduler counters inconsistent: %+v", res.Sched)

@@ -67,10 +67,6 @@ type MobilityPoint struct {
 	// route repair happens *between* chunks (a fresh route per chunk)
 	// instead of mid-transfer.
 	Pipelined bool
-	// QueueCap sizes each node's transmit queue in pipelined mode
-	// (required, at least 1); setting it without Pipelined is an
-	// error.
-	QueueCap int
 	// Seed drives channels, MAC backoffs and the payload bytes.
 	Seed int64
 	// Retries is each node's extra attempt budget (< 0 = network
@@ -123,10 +119,6 @@ func (p MobilityPoint) Validate() error {
 		return fmt.Errorf("mobility: drift speed %v m/s is not usable", p.DriftSpeedMS)
 	case p.DriftSpeedMS > maxDriftSpeedMS:
 		return fmt.Errorf("mobility: drift speed %g m/s exceeds the %d m/s diver bound", p.DriftSpeedMS, maxDriftSpeedMS)
-	case p.Pipelined && p.QueueCap < 1:
-		return fmt.Errorf("mobility: pipelined mode needs a transmit queue capacity of at least 1, got %d", p.QueueCap)
-	case !p.Pipelined && p.QueueCap != 0:
-		return fmt.Errorf("mobility: queue capacity %d set without pipelined mode", p.QueueCap)
 	}
 	return nil
 }
@@ -203,9 +195,6 @@ func RunMobilityPoint(p MobilityPoint) (MobilityResult, error) {
 	}
 	if p.Retries >= 0 {
 		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
-	}
-	if p.Pipelined {
-		opts = append(opts, aquago.WithTxQueueCapacity(p.QueueCap))
 	}
 	net, err := aquago.NewNetwork(env, opts...)
 	if err != nil {
@@ -358,7 +347,7 @@ func mobilityReport(cfg RunConfig, sw mobilitySweep) (Report, error) {
 	}
 	results, err := parallelMap(cfg.Workers, len(coords), func(i int) (MobilityResult, error) {
 		c := coords[i]
-		pt := MobilityPoint{
+		return RunMobilityPoint(MobilityPoint{
 			Hops:         sw.hops,
 			PayloadBytes: sw.payloadBytes,
 			ChunkBytes:   sw.chunkBytes,
@@ -366,11 +355,7 @@ func mobilityReport(cfg RunConfig, sw mobilitySweep) (Report, error) {
 			Seed:         cfg.Seed + int64(i)*5407,
 			Retries:      -1,
 			Pipelined:    c.pipelined,
-		}
-		if c.pipelined {
-			pt.QueueCap = aquago.DefaultTxQueueCap
-		}
-		return RunMobilityPoint(pt)
+		})
 	})
 	if err != nil {
 		return rep, err

@@ -3,14 +3,17 @@ package exp
 import (
 	"math"
 	"testing"
-
-	"aquago"
 )
 
 func TestMobilityValidate(t *testing.T) {
 	good := MobilityPoint{Hops: 3, PayloadBytes: 8, DriftSpeedMS: 1}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good point rejected: %v", err)
+	}
+	pipe := good
+	pipe.Pipelined = true
+	if err := pipe.Validate(); err != nil {
+		t.Fatalf("pipelined point rejected: %v", err)
 	}
 	bad := []struct {
 		name string
@@ -26,8 +29,6 @@ func TestMobilityValidate(t *testing.T) {
 		{"NaN drift", func(p *MobilityPoint) { p.DriftSpeedMS = math.NaN() }},
 		{"negative drift", func(p *MobilityPoint) { p.DriftSpeedMS = -0.5 }},
 		{"boat drift", func(p *MobilityPoint) { p.DriftSpeedMS = maxDriftSpeedMS + 1 }},
-		{"pipelined without queue", func(p *MobilityPoint) { p.Pipelined = true }},
-		{"queue without pipelined", func(p *MobilityPoint) { p.QueueCap = 4 }},
 	}
 	for _, tc := range bad {
 		p := good
@@ -103,9 +104,6 @@ func TestMobilityDeterminismAcrossWorkers(t *testing.T) {
 			Seed:         9,
 			Retries:      -1,
 			Pipelined:    pipelined,
-		}
-		if pipelined {
-			pt.QueueCap = aquago.DefaultTxQueueCap
 		}
 		pt.Workers = 1
 		serial, err := RunMobilityPoint(pt)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"aquago"
 )
@@ -20,10 +19,9 @@ func init() {
 // makes the scaling question measurable — what do relaying and
 // store-and-forward bulk transfer cost in goodput and end-to-end
 // latency as hop count grows, and how does a relay topology carry
-// offered load? The harness reuses the PR 4 substrate: Poisson
-// arrival schedules from loadgen.go, and the same deterministic
-// conflict-free batch driver, widened from single exchanges to whole
-// relay paths.
+// offered load? The load axis reuses the Poisson arrival schedules
+// from loadgen.go and relays each message with a blocking SendVia in
+// arrival order.
 
 // maxBulkBytes bounds one bulk transfer so a misconfigured CLI cannot
 // queue an unbounded packet train.
@@ -63,10 +61,6 @@ type MultiHopPoint struct {
 	// from its own transmit queue, so packets overlap wherever hops do
 	// not interfere.
 	Pipelined bool
-	// QueueCap sizes each node's transmit queue in pipelined mode
-	// (required, at least 1 — aquago.DefaultTxQueueCap is the usual
-	// choice); setting it without Pipelined is an error.
-	QueueCap int
 	// Persist, in (0, 1], switches the MAC to p-persistent slotted
 	// contention with that transmit probability (0 keeps the paper's
 	// accumulating random backoff).
@@ -116,10 +110,6 @@ func (p MultiHopPoint) Validate() error {
 		return fmt.Errorf("multihop: unknown routing policy %d", int(p.Policy))
 	case math.IsNaN(p.Persist) || p.Persist < 0 || p.Persist > 1:
 		return fmt.Errorf("multihop: transmit persistence %v outside (0, 1]", p.Persist)
-	case p.Pipelined && p.QueueCap < 1:
-		return fmt.Errorf("multihop: pipelined mode needs a transmit queue capacity of at least 1, got %d", p.QueueCap)
-	case !p.Pipelined && p.QueueCap != 0:
-		return fmt.Errorf("multihop: queue capacity %d set without pipelined mode", p.QueueCap)
 	}
 	return nil
 }
@@ -160,9 +150,6 @@ func RunMultiHopPoint(p MultiHopPoint) (MultiHopResult, error) {
 	}
 	if p.Trace != nil {
 		opts = append(opts, aquago.WithNetworkTrace(p.Trace))
-	}
-	if p.Pipelined {
-		opts = append(opts, aquago.WithTxQueueCapacity(p.QueueCap))
 	}
 	if p.Persist > 0 {
 		opts = append(opts, aquago.WithPPersistence(p.Persist))
@@ -214,8 +201,8 @@ func RunMultiHopPoint(p MultiHopPoint) (MultiHopResult, error) {
 type MultiHopLoadPoint struct {
 	// Topo picks the geometry: "line" (A nodes in a row), "grid"
 	// (A x B lattice), or "pods" (A pods of B nodes, podGapM apart —
-	// mostly-direct routes, but several independent collision domains
-	// for the batch driver to run concurrently).
+	// mostly-direct routes within several independent collision
+	// domains).
 	Topo string
 	A, B int
 	// SpacingM separates adjacent nodes (line, grid).
@@ -335,59 +322,22 @@ type MultiHopLoadResult struct {
 	LatencyP50S, LatencyP90S, LatencyP99S float64
 	// MakespanS is when the last relayed delivery completed.
 	MakespanS float64
-	// ConflictWidth is the widest batch of mutually non-interfering
-	// relay paths the driver handed the scheduler at once.
-	ConflictWidth int
 	// Sched snapshots the network's scheduler counters.
 	Sched aquago.SchedulerStats
 }
 
-// relayMsg is one scheduled relayed message with its resolved path
-// (and the path pre-flattened to node indices for conflict checks —
-// device IDs equal join order here).
+// relayMsg is one scheduled relayed message with its resolved path.
 type relayMsg struct {
 	arrival
 	dst           int
 	path          []aquago.DeviceID
-	pathIdx       []int
 	first, second uint8
 }
 
-// pathNodes flattens a device path back to node indices.
-func pathNodes(path []aquago.DeviceID) []int {
-	out := make([]int, len(path))
-	for i, id := range path {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// pathsConflict widens msgsConflict from single exchanges to whole
-// relay paths: two transfers conflict when any node appears on both
-// paths, or (finite carrier-sense range) any cross-path node distance
-// falls within it. The rule must over-approximate sched.go's per-hop
-// rule for every hop pair of the two walks — and it does, because
-// every hop's endpoints are path nodes.
-func pathsConflict(a, b []int, pos []aquago.Position, csRangeM float64) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-			if csRangeM <= 0 || pos[x].DistanceTo(pos[y]) <= csRangeM {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // RunMultiHopLoadPoint drives Poisson offered load over a relay
-// topology: the driver replays arrivals in schedule order, resolving
-// each message's route up front, and hands the network the longest
-// leading run of transfers whose *whole paths* are mutually
-// non-interfering as one concurrent batch — the macload batch driver
-// widened to path footprints, with the same determinism argument.
+// topology: routes are resolved up front, then each message is
+// relayed with a blocking SendVia, one at a time in arrival order on
+// this goroutine — a deterministic drive for any worker count.
 func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 	if err := p.Validate(); err != nil {
 		return MultiHopLoadResult{}, err
@@ -427,7 +377,7 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 	// among each source's *routable* peers (a pod topology partitions
 	// the audibility graph — offering a message across a partition
 	// would measure the topology, not the relay), routes resolved up
-	// front so batching sees full path footprints.
+	// front.
 	reachable := make([][]int, len(nodes))
 	for src := range nodes {
 		for dst := range nodes {
@@ -472,20 +422,15 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 			return MultiHopLoadResult{}, err
 		}
 		m.path = path
-		m.pathIdx = pathNodes(path)
 		schedule = append(schedule, m)
 	}
 
-	var accMu sync.Mutex
 	var latencies []float64
-	var firstErr error
 	makespan := p.DurationS
 	ctx := context.Background()
-	runOne := func(m relayMsg) {
+	for _, m := range schedule {
 		nodes[m.node].AdvanceClock(m.atS)
 		rres, err := net.SendVia(ctx, m.path, m.first, m.second)
-		accMu.Lock()
-		defer accMu.Unlock()
 		switch {
 		case err == nil:
 			res.DeliveredMsgs++
@@ -499,39 +444,7 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 		case errors.Is(err, aquago.ErrNoACK):
 			res.NoACKs++
 		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("multihop: %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
-			}
-		}
-	}
-
-	for i := 0; i < len(schedule); {
-		// Longest leading run of pairwise non-interfering paths:
-		// strict prefix batching preserves arrival order globally.
-		j := i + 1
-	grow:
-		for ; j < len(schedule); j++ {
-			for k := i; k < j; k++ {
-				if pathsConflict(schedule[k].pathIdx, schedule[j].pathIdx, positions, p.CSRangeM) {
-					break grow
-				}
-			}
-		}
-		if w := j - i; w > res.ConflictWidth {
-			res.ConflictWidth = w
-		}
-		var wg sync.WaitGroup
-		for _, m := range schedule[i:j] {
-			wg.Add(1)
-			go func(m relayMsg) {
-				defer wg.Done()
-				runOne(m)
-			}(m)
-		}
-		wg.Wait()
-		i = j
-		if firstErr != nil {
-			return MultiHopLoadResult{}, firstErr
+			return MultiHopLoadResult{}, fmt.Errorf("multihop: %d -> %d at %.2fs: %w", m.node, m.dst, m.atS, err)
 		}
 	}
 
@@ -599,7 +512,7 @@ func defaultMultiHopSweep(quick bool) multiHopSweep {
 // MultiHop is the multi-hop relay harness: bulk-transfer goodput and
 // end-to-end latency versus hop count (per contention mode), and
 // relayed goodput versus offered load over line, grid and pod
-// topologies on the batch driver.
+// topologies.
 func MultiHop(cfg RunConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	return multiHopReport(cfg, defaultMultiHopSweep(cfg.Quick))
@@ -662,9 +575,9 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 		rep.Series = append(rep.Series, good, lat)
 		first, last := 0, len(good.X)-1
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s bulk (%d B): %.0f hop(s) %.1f bps / %.1f s -> %.0f hops %.1f bps / %.1f s (store-and-forward divides goodput by path length)",
+			"%s bulk (%d B): %.0f hop(s) %.1f bps / %.1f s -> %.0f hops %.1f bps / %.1f s (last/first goodput %.2f)",
 			modeName[mode], sw.payloadBytes, good.X[first], good.Y[first], lat.Y[first],
-			good.X[last], good.Y[last], lat.Y[last]))
+			good.X[last], good.Y[last], lat.Y[last], good.Y[last]/good.Y[first]))
 	}
 
 	// Axis 1b: the same envelope bulk transfers through the async
@@ -681,7 +594,6 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 				Seed:            cfg.Seed + int64(i)*3571,
 				Retries:         -1,
 				Pipelined:       true,
-				QueueCap:        aquago.DefaultTxQueueCap,
 				Persist:         sw.pipePersist,
 				AdaptiveBackoff: sw.pipeAdaptive,
 			})
@@ -778,9 +690,9 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 			meanHops = float64(last.TotalHops) / float64(last.DeliveredMsgs)
 		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%s: top load %.1f bps offered -> %.1f bps delivered end-to-end (%d/%d msgs, mean %.1f hops, %d busy-drops, %d no-ACK, p90 %.1f s, conflict width %d)",
+			"%s: top load %.1f bps offered -> %.1f bps delivered end-to-end (%d/%d msgs, mean %.1f hops, %d busy-drops, %d no-ACK, p90 %.1f s)",
 			label, last.OfferedBPS, last.GoodputBPS, last.DeliveredMsgs, last.OfferedMsgs,
-			meanHops, last.BusyDrops, last.NoACKs, last.LatencyP90S, last.ConflictWidth))
+			meanHops, last.BusyDrops, last.NoACKs, last.LatencyP90S))
 	}
 	return rep, nil
 }

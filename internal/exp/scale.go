@@ -430,3 +430,24 @@ func scaleReport(cfg RunConfig, sw scaleSweep) (Report, error) {
 	rep.Series = append(rep.Series, committed, join, route, edges)
 	return rep, nil
 }
+
+// pathsConflict reports whether two relay paths (as node indices) may
+// interfere: they do when any node appears on both paths, or (finite
+// carrier-sense range) any cross-path node distance falls within it.
+// The rule over-approximates sched.go's per-hop rule for every hop
+// pair of the two walks, because every hop's endpoints are path nodes.
+// The scale drive keeps it until relayed traffic has a queued form
+// whose dispatch gate can overlap whole walks.
+func pathsConflict(a, b []int, pos []aquago.Position, csRangeM float64) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+			if csRangeM <= 0 || pos[x].DistanceTo(pos[y]) <= csRangeM {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -19,9 +19,9 @@ import (
 //
 // The determinism story. The scheduler guarantees worker-count
 // invariant results as long as conflicting attempts REGISTER in a
-// deterministic order; the batch experiment drivers achieved that
-// with strict prefix batching. Free-running daemons need the
-// equivalent gate at the queue level, and it is this dispatch rule:
+// deterministic order; a caller issuing blocking sends one at a time
+// gets that for free. Free-running daemons need an equivalent gate at
+// the queue level, and it is this dispatch rule:
 //
 //	a queued job may dispatch only when no live job that could
 //	interfere with it — inflight anywhere, or queued with a smaller
