@@ -16,6 +16,7 @@
 //	aquabench -image [-quick] [-json]
 //	aquabench -mobility [-quick] [-json]
 //	aquabench -all [-quick] [-json] [-out BENCH_exp.json] [-diff BENCH_exp.json]
+//	aquabench -exp scale -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -workers sizes the parallel experiment engine (0 = one worker per
 // CPU core, 1 = serial); results are identical for any value. -json
@@ -33,6 +34,8 @@
 // and time-to-first-usable-preview vs range, hop count and load).
 // -mobility runs the drifting-diver study (bulk relay goodput and
 // route repairs vs drift speed under position epochs).
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap
+// profiles covering the selected experiments, for `go tool pprof`.
 package main
 
 import (
@@ -43,6 +46,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -274,6 +278,44 @@ func diffThroughput(ref, cur benchFile, tol float64) error {
 	return nil
 }
 
+// startProfiles starts a CPU profile into cpuPath, when set, and
+// returns the function that stops it and then writes a heap profile
+// into memPath, when set. The heap profile carries both in-use and
+// cumulative allocation samples (go tool pprof -sample_index).
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the in-use figures at the end of the run
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return err
+		}
+		return mem.Close()
+	}, nil
+}
+
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	all := flag.Bool("all", false, "run every experiment")
@@ -290,6 +332,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write per-experiment timings and series as JSON")
 	outPath := flag.String("out", "BENCH_exp.json", "output path for -json")
 	diffPath := flag.String("diff", "", "reference bench file; exit non-zero if any throughput series regresses > 15%")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the selected experiments, to this file")
 	flag.Parse()
 
 	if *list {
@@ -336,6 +380,11 @@ func main() {
 		Seed:      *seed,
 		Quick:     *quick,
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aquabench: profile:", err)
+		os.Exit(2)
+	}
 	failed := false
 	totalStart := time.Now()
 	for _, id := range selected {
@@ -354,6 +403,10 @@ func main() {
 		bench.Experiments = append(bench.Experiments, entry)
 	}
 	bench.TotalMS = float64(time.Since(totalStart).Microseconds()) / 1000
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "aquabench: profile:", err)
+		failed = true
+	}
 
 	if *jsonOut {
 		outBench := bench

@@ -2,6 +2,8 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -266,5 +268,36 @@ func TestDiffThroughputGatesCommittedExchanges(t *testing.T) {
 	)
 	if err := diffThroughput(ref, droppedScale, 0.15); err == nil || !strings.Contains(err.Error(), "produced none") {
 		t.Fatalf("dropped committed-exchanges series not reported: %v", err)
+	}
+}
+
+// TestProfilesCoverAnExperiment runs one quick experiment between
+// startProfiles and its stop, as main does, and checks that both
+// profiles are written as non-empty gzip-compressed pprof files.
+func TestProfilesCoverAnExperiment(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.Run("fig08", exp.RunConfig{Quick: true, Workers: 1, Seed: 1}); err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s: %d bytes, want a non-empty gzip-compressed profile", filepath.Base(path), len(data))
+		}
+	}
+	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
+		t.Fatal("startProfiles into a missing directory succeeded")
 	}
 }

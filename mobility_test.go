@@ -160,6 +160,7 @@ func TestRoutesMatchBruteUnderMotion(t *testing.T) {
 		{40, 20, 6, 8, MinHop},
 		{40, 12, 15, 8, MinHop},
 		{10, 20, 8, 4, MinETX},
+		{16, 20, 8, 8, MinETX},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 2; seed++ {

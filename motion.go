@@ -252,8 +252,8 @@ func (n *Network) setPositionLocked(nd *Node, p Position) error {
 	}
 	n.grid.Move(nd.idx, p)
 	nd.pos = p
-	n.patchAdjacencyLocked(nd.idx)
-	n.noteMoveLocked(nd.idx)
+	oldRow := n.patchAdjacencyLocked(nd.idx)
+	n.noteMoveLocked(nd.idx, oldRow)
 	n.rewireTicketsLocked(nd.idx)
 	// Causality: the mover materializes in its new neighborhood *now* —
 	// its next send may not start inside virtual history its new
@@ -296,11 +296,13 @@ func (n *Network) toneClashAtLocked(pos Position, tone DeviceID, selfIdx int) *N
 // idx moved: its own row is recomputed from the grid at the new
 // position, and every other row gains or loses idx as the move brought
 // it into or out of earshot. Rows stay ascending (the diff walks both
-// sorted rows in lockstep). No-op in brute-force mode (unlimited
-// carrier-sense range — adjacency is implicit). Callers hold n.mu.
-func (n *Network) patchAdjacencyLocked(idx int) {
+// sorted rows in lockstep). It returns the mover's pre-move row, which
+// the route layer needs to find the mover's cached ETX pairs. No-op
+// returning nil in brute-force mode (unlimited carrier-sense range —
+// adjacency is implicit). Callers hold n.mu.
+func (n *Network) patchAdjacencyLocked(idx int) []int {
 	if n.neighbors == nil {
-		return
+		return nil
 	}
 	n.gridScratch = n.grid.AppendWithin(n.gridScratch[:0], n.order[idx].pos, n.cfg.csRangeM)
 	row := make([]int, 0, len(n.gridScratch))
@@ -327,6 +329,7 @@ func (n *Network) patchAdjacencyLocked(idx int) {
 		}
 	}
 	n.neighbors[idx] = row
+	return old
 }
 
 // dropSorted removes v from the ascending slice s (v present by

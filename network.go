@@ -352,6 +352,9 @@ type Network struct {
 	// (noteLeaveLocked).
 	routeCache map[[2]int]cachedRoute
 	etxCache   map[[2]int]float64
+	// routeScratch is the route searches' reusable label arrays, heap
+	// and pricing worklist, reset per search (route.go).
+	routeScratch routeScratch
 	// Motion layer state (motion.go): geoEpoch counts applied position
 	// epochs (0 = Join-time geometry, the static fast paths), and
 	// motionClockS is the monotone virtual time tracks were last

@@ -1,7 +1,6 @@
 package aquago
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -177,10 +176,7 @@ func (n *Network) hopWeightLocked(u, v int) (float64, error) {
 }
 
 // routeItem is one heap entry of the deterministic Dijkstra: the
-// labels node idx carried when it was pushed. The comparator is the
-// full deterministic selection order (cost, hops, length, index), so
-// popping the heap visits nodes exactly as the former global-minimum
-// scan did.
+// labels node idx carried when it was pushed.
 type routeItem struct {
 	cost float64
 	hops int
@@ -188,13 +184,11 @@ type routeItem struct {
 	idx  int
 }
 
-// routeHeap implements container/heap ordered by (cost, hops, lenM,
-// idx) ascending.
-type routeHeap []routeItem
-
-func (h routeHeap) Len() int { return len(h) }
-func (h routeHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// before reports whether a precedes b in the full deterministic
+// selection order (cost, hops, length, index) — a total order, so
+// popping the heap visits nodes exactly as the former global-minimum
+// scan did.
+func (a routeItem) before(b routeItem) bool {
 	switch {
 	case a.cost != b.cost:
 		return a.cost < b.cost
@@ -205,14 +199,90 @@ func (h routeHeap) Less(i, j int) bool {
 	}
 	return a.idx < b.idx
 }
-func (h routeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *routeHeap) Push(x interface{}) { *h = append(*h, x.(routeItem)) }
-func (h *routeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// routeQueue is a binary min-heap of routeItems ordered by before.
+// Items are stored by value — container/heap would box every push
+// into an interface — and the backing array lives in routeScratch, so
+// a warm search pushes and pops without allocating. before is total,
+// so the pop sequence is that of any correct priority queue.
+type routeQueue []routeItem
+
+func (q *routeQueue) push(it routeItem) {
+	h := append(*q, it)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+func (q *routeQueue) pop() routeItem {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
+}
+
+// unreached labels a node no search has reached yet.
+const unreached = math.MaxFloat64
+
+// routeScratch is the route layer's search state, kept on the Network
+// and used under n.mu: both Dijkstras' label arrays, the heap's
+// backing array and the pricing worklist. A search resets what it
+// reads instead of allocating, so neither a route build nor a motion
+// epoch's re-pricing allocates per node or per edge.
+type routeScratch struct {
+	cost []float64 // routeLocked's cost labels; the pricing distances
+	hops []int
+	lenM []float64
+	prev []int
+	done []bool
+	// queue is the heap's backing array.
+	queue routeQueue
+	// open is the pricing worklist (repriceRoutesLocked).
+	open []pricedRoute
+}
+
+// reset sizes the label arrays to nn nodes and marks every node
+// unreached and unsettled, with an empty heap. hops and lenM are only
+// read for nodes whose cost is set, so they are sized, not cleared.
+func (s *routeScratch) reset(nn int) {
+	if cap(s.cost) < nn {
+		s.cost = make([]float64, nn)
+		s.hops = make([]int, nn)
+		s.lenM = make([]float64, nn)
+		s.prev = make([]int, nn)
+		s.done = make([]bool, nn)
+	}
+	s.cost, s.hops, s.lenM = s.cost[:nn], s.hops[:nn], s.lenM[:nn]
+	s.prev, s.done = s.prev[:nn], s.done[:nn]
+	for i := range s.cost {
+		s.cost[i] = unreached
+		s.prev[i] = -1
+		s.done[i] = false
+	}
+	s.queue = s.queue[:0]
 }
 
 // routeLocked runs deterministic Dijkstra on the audibility graph
@@ -224,23 +294,17 @@ func (h *routeHeap) Pop() interface{} {
 // only the audibility adjacency (the spatial grid's neighbor rows),
 // so a build costs O(E log V) on the neighbor graph instead of the
 // former O(V^2) scan — the nodes it settles, and the paths it
-// returns, are identical. Callers hold n.mu.
+// returns, are identical. The labels and heap are the reused
+// routeScratch, so a build allocates only the path it caches.
+// Callers hold n.mu.
 func (n *Network) routeLocked(src, dst int) ([]int, error) {
 	key := [2]int{src, dst}
 	if r, ok := n.routeCache[key]; ok {
 		return r.path, nil
 	}
-	const unreached = math.MaxFloat64
-	nn := len(n.order)
-	cost := make([]float64, nn)
-	hops := make([]int, nn)
-	lenM := make([]float64, nn)
-	prev := make([]int, nn)
-	done := make([]bool, nn)
-	for i := range cost {
-		cost[i] = unreached
-		prev[i] = -1
-	}
+	s := &n.routeScratch
+	s.reset(len(n.order))
+	cost, hops, lenM, prev, done := s.cost, s.hops, s.lenM, s.prev, s.done
 	cost[src], hops[src], lenM[src] = 0, 0, 0
 
 	better := func(c float64, h int, l float64, at int, than int) bool {
@@ -254,10 +318,10 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 		}
 		return at < prev[than]
 	}
-	pq := &routeHeap{{cost: 0, hops: 0, lenM: 0, idx: src}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(routeItem)
-		u := it.idx
+	pq := &s.queue
+	pq.push(routeItem{idx: src})
+	for len(*pq) > 0 {
+		u := pq.pop().idx
 		if done[u] {
 			// A better label was pushed after this entry and, having a
 			// smaller key, already settled the node (lazy deletion).
@@ -281,11 +345,14 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 				return
 			}
 			c := cost[u] + w
+			if c > cost[v] {
+				return
+			}
 			h := hops[u] + 1
 			l := lenM[u] + n.order[u].pos.DistanceTo(n.order[v].pos)
-			if c < cost[v] || (c == cost[v] && better(c, h, l, u, v)) {
+			if c < cost[v] || better(c, h, l, u, v) {
 				cost[v], hops[v], lenM[v], prev[v] = c, h, l, u
-				heap.Push(pq, routeItem{cost: c, hops: h, lenM: l, idx: v})
+				pq.push(routeItem{cost: c, hops: h, lenM: l, idx: v})
 			}
 		})
 		if werr != nil {
@@ -296,12 +363,11 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 		return nil, fmt.Errorf("%w: %d -> %d (carrier-sense range %g m)",
 			ErrNoRoute, n.order[src].id, n.order[dst].id, n.cfg.csRangeM)
 	}
-	var path []int
-	for at := dst; at != -1; at = prev[at] {
-		path = append(path, at)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	// Settled labels never change, so dst's hop count is the length of
+	// its prev chain.
+	path := make([]int, hops[dst]+1)
+	for at, i := dst, hops[dst]; i >= 0; at, i = prev[at], i-1 {
+		path[i] = at
 	}
 	if n.routeCache == nil {
 		n.routeCache = make(map[[2]int]cachedRoute)
@@ -310,22 +376,99 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 	return path, nil
 }
 
-// distFromLocked runs a cost-only Dijkstra from node index src over
-// the audibility adjacency, returning the policy distance to every
-// node (math.MaxFloat64 where unreachable). Both policies' hop
-// weights are symmetric, so the result reads as distance either to or
-// from src. Callers hold n.mu.
-func (n *Network) distFromLocked(src int) ([]float64, error) {
-	const unreached = math.MaxFloat64
-	dist := make([]float64, len(n.order))
-	done := make([]bool, len(n.order))
-	for i := range dist {
-		dist[i] = unreached
+// pricedRoute is a cached route awaiting its pricing verdict
+// (repriceRoutesLocked): the entry's key and cached cost, and each
+// endpoint's hop floor from the pricing root (hopFloorLocked).
+type pricedRoute struct {
+	key            [2]int
+	cost           float64
+	floorA, floorB float64
+}
+
+// hopFloorLocked returns a lower bound on the policy distance between
+// nodes i and j from geometry alone. Every hop spans at most the
+// carrier-sense range and costs at least 1 under both policies, so a
+// path across their separation s costs at least ceil(s / range); the
+// 1e-9 slack absorbs rounding in the distances (a separation within
+// that of a whole number of ranges counts as that number). With an
+// unlimited range the floor is the one hop. Callers hold n.mu.
+func (n *Network) hopFloorLocked(i, j int) float64 {
+	if i == j {
+		return 0
 	}
-	dist[src] = 0
-	pq := &routeHeap{{idx: src}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(routeItem)
+	r := n.cfg.csRangeM
+	if r <= 0 {
+		return 1
+	}
+	return math.Max(1, math.Ceil(n.order[i].pos.DistanceTo(n.order[j].pos)/r-1e-9))
+}
+
+// repriceRoutesLocked deletes every cached route that node idx could
+// have changed: each route walking through idx, and each route (a, b)
+// a path through idx could beat or tie — d[a] + d[b] <= cost, with d
+// the policy distance from idx (the argument is noteJoinLocked's).
+//
+// d comes from a cost-only Dijkstra rooted at idx, run only as far as
+// the verdicts need. Every node v has d[v] >= floor[v], its hop floor
+// from idx; when the heap pops key L, every node not yet settled also
+// has d >= L. Float addition is monotone, so with lb = max(L, floor):
+//
+//   - an entry with both endpoints settled is decided exactly;
+//   - one endpoint settled at d[a]: d[a] + d[b] >= d[a] + lb[b];
+//   - neither settled: d[a] + d[b] >= lb[a] + lb[b].
+//
+// Once that lower bound exceeds the cached cost the entry stands,
+// whatever the rest of the search would find, and it leaves the
+// worklist; an entry whose endpoints' floors already exceed it never
+// enters, and an empty worklist needs no search. The search stops when
+// the worklist is empty — at the latest at the first pop above the
+// largest cached cost. The bounded search is a prefix of the unbounded
+// one, so every settled distance is bit-identical, nodes it never
+// reaches (unreachable or departed) count as infinitely far, and
+// exactly the entries an unbounded pricing would delete are deleted.
+// If an edge weight cannot be computed (a link refuses to build), the
+// route cache is dropped wholesale — correct, merely slower. Callers
+// hold n.mu.
+func (n *Network) repriceRoutesLocked(idx int) {
+	if len(n.routeCache) == 0 {
+		return
+	}
+	s := &n.routeScratch
+	open := s.open[:0]
+	//aqualint:order-independent each entry is tested for the node and deleted or queued for pricing independently; the verdicts, and so the surviving set, are the same whatever order the entries are visited in
+	for key, r := range n.routeCache {
+		if pathContains(r.path, idx) {
+			delete(n.routeCache, key)
+			continue
+		}
+		e := pricedRoute{key: key, cost: r.cost,
+			floorA: n.hopFloorLocked(idx, key[0]), floorB: n.hopFloorLocked(idx, key[1])}
+		if e.floorA+e.floorB <= e.cost {
+			open = append(open, e)
+		}
+	}
+	if len(open) == 0 {
+		s.open = open
+		return
+	}
+	s.reset(len(n.order))
+	dist, done := s.cost, s.done
+	dist[idx] = 0
+	pq := &s.queue
+	pq.push(routeItem{idx: idx})
+	// rescan is the key past which the worklist is next examined: the
+	// largest key at which the last scan's survivors could fall to
+	// their lower bounds (none can at key 0, having entered the list).
+	// An entry decided meanwhile by both endpoints settling waits for
+	// that scan; the verdict is the same, merely found later.
+	rescan := 0.0
+	for len(*pq) > 0 {
+		it := pq.pop()
+		if it.cost > rescan {
+			if open, rescan = n.priceVerdictsLocked(open, it.cost); len(open) == 0 {
+				break
+			}
+		}
 		u := it.idx
 		if done[u] {
 			continue
@@ -344,14 +487,60 @@ func (n *Network) distFromLocked(src int) ([]float64, error) {
 			}
 			if c := dist[u] + w; c < dist[v] {
 				dist[v] = c
-				heap.Push(pq, routeItem{cost: c, idx: v})
+				pq.push(routeItem{cost: c, idx: v})
 			}
 		})
 		if werr != nil {
-			return nil, werr
+			n.routeCache = nil
+			s.open = open[:0]
+			return
 		}
 	}
-	return dist, nil
+	// The heap ran dry: every reachable node is settled, so the rest
+	// are decided exactly or have an unreachable endpoint.
+	open, _ = n.priceVerdictsLocked(open, math.Inf(1))
+	s.open = open[:0]
+}
+
+// priceVerdictsLocked decides every worklist entry the pricing search
+// already can, given that no unsettled node is closer than atLeast
+// (see repriceRoutesLocked): a beatable entry is deleted from the
+// route cache, and every decided entry leaves the worklist. It returns
+// the undecided rest and the largest key at which one of them could
+// still be decided by its lower bound alone — past it, a rescan is
+// worth its cost. Callers hold n.mu.
+func (n *Network) priceVerdictsLocked(open []pricedRoute, atLeast float64) ([]pricedRoute, float64) {
+	dist, done := n.routeScratch.cost, n.routeScratch.done
+	rescan := atLeast
+	for i := 0; i < len(open); {
+		e := open[i]
+		a, b := e.key[0], e.key[1]
+		var lower, reach float64
+		switch {
+		case done[a] && done[b]:
+			if dist[a]+dist[b] <= e.cost {
+				delete(n.routeCache, e.key)
+			}
+			lower = math.Inf(1)
+		case done[a]:
+			lower, reach = dist[a]+math.Max(atLeast, e.floorB), e.cost-dist[a]
+		case done[b]:
+			lower, reach = dist[b]+math.Max(atLeast, e.floorA), e.cost-dist[b]
+		default:
+			lower = math.Max(atLeast, e.floorA) + math.Max(atLeast, e.floorB)
+			reach = e.cost - math.Max(e.cost/2, math.Max(e.floorA, e.floorB))
+		}
+		if lower > e.cost {
+			open[i] = open[len(open)-1]
+			open = open[:len(open)-1]
+			continue
+		}
+		if reach > rescan {
+			rescan = reach
+		}
+		i++
+	}
+	return open, rescan
 }
 
 // noteJoinLocked invalidates exactly the cached routes the node that
@@ -369,31 +558,11 @@ func (n *Network) distFromLocked(src int) ([]float64, error) {
 // So an entry is stale only if d[a] + d[b] <= its cached cost; the
 // equality case guards the deterministic tie-break, which an
 // equal-cost path through the new node can win on hops, length or
-// index. One scalar Dijkstra rooted at the new node prices every
-// cached entry. If edge weights cannot be computed (a link refuses to
-// build), the route cache is dropped wholesale — correct, merely
-// slower. Callers hold n.mu.
+// index. One bounded scalar Dijkstra rooted at the new node prices
+// every cached entry (repriceRoutesLocked; no cached path can walk
+// through a node that just joined). Callers hold n.mu.
 func (n *Network) noteJoinLocked(newIdx int) {
-	if len(n.routeCache) == 0 {
-		return
-	}
-	joinable := false
-	n.forEachAudibleLocked(newIdx, func(int) { joinable = true })
-	if !joinable {
-		// An isolated node adds no edges; every cached path stands.
-		return
-	}
-	dist, err := n.distFromLocked(newIdx)
-	if err != nil {
-		n.routeCache = nil
-		return
-	}
-	//aqualint:order-independent each entry is tested against the joiner's distance vector and deleted or kept independently; the surviving set is the same whatever order the entries are visited in
-	for key, r := range n.routeCache {
-		if dist[key[0]]+dist[key[1]] <= r.cost {
-			delete(n.routeCache, key)
-		}
-	}
+	n.repriceRoutesLocked(newIdx)
 }
 
 // noteMoveLocked invalidates what a position epoch of node idx made
@@ -410,48 +579,33 @@ func (n *Network) noteJoinLocked(newIdx int) {
 //     through the mover, costing at least d[a] + d[b] from its new
 //     position (<= also invalidates, guarding the tie-break).
 //
-// The pricing Dijkstra runs over the already-patched adjacency and
-// lazily re-probes the mover's ETX weights at the new position through
-// hopWeightLocked — the per-epoch ETX re-probe. Entries avoiding the
-// mover and priced safe kept their exact old cost: no other pair's
-// geometry changed. Callers hold n.mu, after patchAdjacencyLocked.
-func (n *Network) noteMoveLocked(idx int) {
-	//aqualint:order-independent each key is tested against the mover and deleted independently; the surviving cache is the same whatever order the entries are visited in
-	for key := range n.etxCache {
-		if key[0] == idx || key[1] == idx {
-			delete(n.etxCache, key)
+// A pair is only ever probed across an audible edge, and a move by
+// either endpoint drops it, so the mover's cached ETX pairs all lie
+// in oldRow, its adjacency row before the move (every node when the
+// carrier-sense range is unlimited) — the drop costs the mover's
+// degree, not a scan of every probed pair. The pricing Dijkstra runs
+// over the already-patched adjacency and lazily re-probes the mover's
+// ETX weights at the new position through hopWeightLocked — the
+// per-epoch ETX re-probe. Entries avoiding the mover and priced safe
+// kept their exact old cost: no other pair's geometry changed.
+// Callers hold n.mu, after patchAdjacencyLocked.
+func (n *Network) noteMoveLocked(idx int, oldRow []int) {
+	if len(n.etxCache) > 0 {
+		drop := func(v int) {
+			delete(n.etxCache, [2]int{idx, v})
+			delete(n.etxCache, [2]int{v, idx})
+		}
+		if n.neighbors == nil {
+			for v := range n.order {
+				drop(v)
+			}
+		} else {
+			for _, v := range oldRow {
+				drop(v)
+			}
 		}
 	}
-	if len(n.routeCache) == 0 {
-		return
-	}
-	//aqualint:order-independent each entry's path is tested for the mover and deleted independently; the surviving set is the same whatever order the entries are visited in
-	for key, r := range n.routeCache {
-		if pathContains(r.path, idx) {
-			delete(n.routeCache, key)
-		}
-	}
-	if len(n.routeCache) == 0 {
-		return
-	}
-	reachable := false
-	n.forEachAudibleLocked(idx, func(int) { reachable = true })
-	if !reachable {
-		// The mover is isolated at its new position: it offers no new
-		// edges, and every path through it is already gone.
-		return
-	}
-	dist, err := n.distFromLocked(idx)
-	if err != nil {
-		n.routeCache = nil
-		return
-	}
-	//aqualint:order-independent each entry is tested against the mover's distance vector and deleted or kept independently; the surviving set is the same whatever order the entries are visited in
-	for key, r := range n.routeCache {
-		if dist[key[0]]+dist[key[1]] <= r.cost {
-			delete(n.routeCache, key)
-		}
-	}
+	n.repriceRoutesLocked(idx)
 }
 
 // noteLeaveLocked invalidates the cached routes that relay through the
