@@ -30,27 +30,31 @@ func convolveDirect(a, b []float64) []float64 {
 
 func convolveFFT(a, b []float64) []float64 {
 	n := len(a) + len(b) - 1
-	m := NextPow2(n)
-	p := NewPlan(m)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
+	p := NewRealPlan(NextPow2(n))
+	buf := make([]float64, p.Size())
+	fa, fb := halfSpectra(p, buf, a, b)
+	for i, v := range fb {
+		fa[i] *= v
 	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	p.Forward(fa, fa)
-	p.Forward(fb, fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	p.Inverse(fa, fa)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
+	p.Inverse(buf, fa)
+	// Copy out rather than return buf[:n]: link construction keeps
+	// its impulse responses, which should not pin the padding.
+	return append([]float64(nil), buf[:n]...)
+}
+
+// halfSpectra returns the half spectra of a and b, each zero-padded to
+// p.Size() in the scratch buf, from one allocation.
+func halfSpectra(p *RealPlan, buf, a, b []float64) (fa, fb []complex128) {
+	nb := p.Bins()
+	s := make([]complex128, 2*nb)
+	fa, fb = s[:nb], s[nb:]
+	copy(buf, a)
+	clear(buf[len(a):])
+	p.Forward(fa, buf)
+	copy(buf, b)
+	clear(buf[len(b):])
+	p.Forward(fb, buf)
+	return fa, fb
 }
 
 // OverlapAdd is a reusable fast convolver for one fixed FIR kernel
@@ -58,12 +62,12 @@ func convolveFFT(a, b []float64) []float64 {
 // It exists because the channel simulator convolves hundreds of long
 // waveforms with the same few-hundred-tap impulse response.
 type OverlapAdd struct {
-	kernel  []float64
-	block   int // input block length per segment
-	fftSize int
-	plan    *Plan
-	kfft    []complex128
-	seg     []complex128
+	kernel []float64
+	block  int // input block length per segment
+	plan   *RealPlan
+	kfft   []complex128 // kernel half-spectrum
+	spec   []complex128 // segment half-spectrum scratch
+	seg    []float64    // segment scratch, fftSize samples
 }
 
 // NewOverlapAdd prepares an overlap-add convolver for the kernel.
@@ -79,17 +83,15 @@ func NewOverlapAdd(kernel []float64) *OverlapAdd {
 	}
 	block := fftSize - nk + 1
 	oa := &OverlapAdd{
-		kernel:  append([]float64(nil), kernel...),
-		block:   block,
-		fftSize: fftSize,
-		plan:    NewPlan(fftSize),
-		kfft:    make([]complex128, fftSize),
-		seg:     make([]complex128, fftSize),
+		kernel: append([]float64(nil), kernel...),
+		block:  block,
+		plan:   NewRealPlan(fftSize),
+		seg:    make([]float64, fftSize),
 	}
-	for i, v := range kernel {
-		oa.kfft[i] = complex(v, 0)
-	}
-	oa.plan.Forward(oa.kfft, oa.kfft)
+	oa.kfft = make([]complex128, oa.plan.Bins())
+	oa.spec = make([]complex128, oa.plan.Bins())
+	copy(oa.seg, kernel)
+	oa.plan.Forward(oa.kfft, oa.seg)
 	return oa
 }
 
@@ -135,22 +137,18 @@ func (oa *OverlapAdd) ApplyTo(dst []float64, x []float64) []float64 {
 	for start := 0; start < len(x); start += oa.block {
 		end := min(start+oa.block, len(x))
 		chunk := x[start:end]
-		for i, v := range chunk {
-			oa.seg[i] = complex(v, 0)
-		}
+		copy(oa.seg, chunk)
 		// Only the tail beyond the chunk needs clearing: the chunk
-		// samples above just overwrote the head.
-		for i := len(chunk); i < len(oa.seg); i++ {
-			oa.seg[i] = 0
+		// copy above just overwrote the head.
+		clear(oa.seg[len(chunk):])
+		oa.plan.Forward(oa.spec, oa.seg)
+		for i, k := range oa.kfft {
+			oa.spec[i] *= k
 		}
-		oa.plan.Forward(oa.seg, oa.seg)
-		for i := range oa.seg {
-			oa.seg[i] *= oa.kfft[i]
-		}
-		oa.plan.Inverse(oa.seg, oa.seg)
+		oa.plan.Inverse(oa.seg, oa.spec)
 		limit := len(chunk) + len(oa.kernel) - 1
-		for i := 0; i < limit && start+i < len(dst); i++ {
-			dst[start+i] += real(oa.seg[i])
+		for i, v := range oa.seg[:min(limit, len(dst)-start)] {
+			dst[start+i] += v
 		}
 	}
 	return dst

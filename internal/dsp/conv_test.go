@@ -163,6 +163,38 @@ func TestCrossCorrelateAgainstDirect(t *testing.T) {
 	}
 }
 
+// checkCorrelateDirect compares every lag of CrossCorrelate with the
+// direct dot product; the tolerance scales with the lag's own energy.
+func checkCorrelateDirect(t testing.TB, x, tmpl []float64) {
+	t.Helper()
+	got := CrossCorrelate(x, tmpl)
+	if want := len(x) - len(tmpl) + 1; len(got) != want {
+		t.Fatalf("len(x)=%d len(t)=%d: %d lags, want %d", len(x), len(tmpl), len(got), want)
+	}
+	scale := math.Sqrt(Energy(tmpl) * Energy(x))
+	for k := range got {
+		want := Dot(x[k:], tmpl)
+		if math.Abs(got[k]-want) > 1e-12*(scale+1) {
+			t.Fatalf("len(x)=%d len(t)=%d: lag %d got %g want %g", len(x), len(tmpl), k, got[k], want)
+		}
+	}
+}
+
+// TestCrossCorrelateFFTValidLagsAtBoundaries runs the FFT branch at the
+// lengths where its transform size NextPow2(len(x)) is tightest:
+// len(x) a power of two, one past it, and equal to the template.
+func TestCrossCorrelateFFTValidLagsAtBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, nt := range []int{128, 300, 512, 1024} {
+		tmpl := randReal(nt, rng)
+		for _, nx := range []int{512, 513, 1024, 1025, 2048, 2049, nt} {
+			if nx >= nt && nx >= 512 {
+				checkCorrelateDirect(t, randReal(nx, rng), tmpl)
+			}
+		}
+	}
+}
+
 func TestSegmentCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := randReal(128, rng)
@@ -263,4 +295,50 @@ func TestOverlapAddApplyToMatchesApply(t *testing.T) {
 	if oa.OutLen(0) != 0 || oa.OutLen(10) != 10+len(kernel)-1 {
 		t.Fatal("OutLen mismatch")
 	}
+}
+
+// TestNormalizedCrossCorrelateSilentWindowsAreZero feeds a loud
+// template followed by a long silence. Whether the running window
+// energy keeps a positive rounding residue after the loud stretch
+// depends on the draw, so several templates are tried; every all-zero
+// window must read exactly 0, as documented.
+func TestNormalizedCrossCorrelateSilentWindowsAreZero(t *testing.T) {
+	for _, n := range []int{200, 1000} {
+		for seed := int64(1); seed <= 4; seed++ {
+			tmpl := randReal(n, rand.New(rand.NewSource(seed)))
+			for _, zeros := range []int{20000, 40000} {
+				x := make([]float64, n+zeros)
+				for i, v := range tmpl {
+					x[i] = 100 * v
+				}
+				corr := NormalizedCrossCorrelate(x, tmpl)
+				if corr[0] < 0.999 {
+					t.Fatalf("n=%d seed=%d zeros=%d: peak %g at lag 0, want ~1", n, seed, zeros, corr[0])
+				}
+				// Lags from n on see only zeros.
+				for k := n; k < len(corr); k++ {
+					if corr[k] != 0 {
+						t.Fatalf("n=%d seed=%d zeros=%d: all-zero window at lag %d reads %g, want exactly 0",
+							n, seed, zeros, k, corr[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCrossCorrelateMatchesDirect checks CrossCorrelate against the
+// direct dot product at fuzzed signal and template lengths, which
+// exercises both branches and the FFT branch's transform sizing. The
+// seed corpus in testdata/fuzz holds the power-of-two boundaries.
+func FuzzCrossCorrelateMatchesDirect(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nx, nt uint16) {
+		// Bound the lengths so the O(len(x)*len(t)) reference stays
+		// quick: templates up to 2,048 samples, signals up to 4,096
+		// samples past the template.
+		tl := 1 + int(nt)%2048
+		xl := tl + int(nx)%4096
+		rng := rand.New(rand.NewSource(seed))
+		checkCorrelateDirect(t, randReal(xl, rng), randReal(tl, rng))
+	})
 }

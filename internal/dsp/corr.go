@@ -15,21 +15,26 @@ func CrossCorrelate(x, t []float64) []float64 {
 		return nil
 	}
 	nOut := len(x) - len(t) + 1
+	out := make([]float64, nOut)
 	if len(t) < 128 || len(x) < 512 {
-		out := make([]float64, nOut)
-		for k := 0; k < nOut; k++ {
+		for k := range out {
 			out[k] = Dot(x[k:], t)
 		}
 		return out
 	}
-	// Correlation = convolution with the reversed template.
-	rev := make([]float64, len(t))
-	for i, v := range t {
-		rev[len(t)-1-i] = v
+	// Overlap-save over m = NextPow2(len(x)) points: the inverse of
+	// X*conj(T) is the circular correlation, whose lag k sums
+	// x[(k+j) mod m]*t[j] over j < len(t). On the valid lags
+	// k+j <= len(x)-1 < m never wraps; only the lags past nOut do, and
+	// those are discarded.
+	p := NewRealPlan(NextPow2(len(x)))
+	buf := make([]float64, p.Size())
+	fx, ft := halfSpectra(p, buf, x, t)
+	for i, v := range ft {
+		fx[i] *= complex(real(v), -imag(v))
 	}
-	full := Convolve(x, rev)
-	out := make([]float64, nOut)
-	copy(out, full[len(t)-1:])
+	p.Inverse(buf, fx)
+	copy(out, buf)
 	return out
 }
 
@@ -45,20 +50,33 @@ func NormalizedCrossCorrelate(x, t []float64) []float64 {
 	if et == 0 {
 		return make([]float64, len(raw))
 	}
-	// Running window energy of x.
+	// Running window energy of x. The float update leaves a rounding
+	// residue after a loud stretch, so an exact count of the window's
+	// nonzero samples decides which windows are silent.
 	var we float64
+	nonzero := 0
 	for _, v := range x[:len(t)] {
 		we += v * v
+		if v != 0 {
+			nonzero++
+		}
 	}
 	out := make([]float64, len(raw))
 	for k := range raw {
-		if we > 0 {
+		if nonzero > 0 && we > 0 {
 			out[k] = raw[k] / math.Sqrt(we*et)
 		}
 		if k+len(t) < len(x) {
-			we += x[k+len(t)]*x[k+len(t)] - x[k]*x[k]
+			in, gone := x[k+len(t)], x[k]
+			we += in*in - gone*gone
 			if we < 0 {
 				we = 0 // numeric drift guard
+			}
+			if in != 0 {
+				nonzero++
+			}
+			if gone != 0 {
+				nonzero--
 			}
 		}
 	}

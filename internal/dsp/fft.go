@@ -432,6 +432,121 @@ func (bs *bluestein) transform(dst, src []complex128, inverse bool) {
 	}
 }
 
+// realTwiddleCache maps real-transform size n -> its split twiddles
+// tw[k] = exp(-2*pi*i*k/n) for k = 0..n/4 (the split pass pairs bin k
+// with bin n/2-k, so it never needs more). Like planTables they are
+// immutable and shared by every RealPlan of the size.
+var realTwiddleCache sync.Map
+
+func realTwiddles(n int) []complex128 {
+	if v, ok := realTwiddleCache.Load(n); ok {
+		return v.([]complex128)
+	}
+	tw := make([]complex128, n/4+1)
+	for k := range tw {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		tw[k] = complex(c, s)
+	}
+	actual, _ := realTwiddleCache.LoadOrStore(n, tw)
+	return actual.([]complex128)
+}
+
+// RealPlan computes DFTs of real signals of one even size n with a
+// single n/2-point complex Plan: the even and odd samples are packed
+// as the real and imaginary parts of one half-size signal, and a split
+// pass separates their spectra. A real signal's spectrum is Hermitian,
+// so only bins 0..n/2 are produced and consumed.
+//
+// Like Plan, a RealPlan is NOT safe for concurrent use.
+type RealPlan struct {
+	n    int
+	half *Plan
+	tw   []complex128
+}
+
+// NewRealPlan returns a real-signal transform plan for size n. It
+// panics unless n is even and positive.
+func NewRealPlan(n int) *RealPlan {
+	if n < 2 || n%2 != 0 {
+		panic(fmt.Sprintf("dsp: invalid real FFT size %d (want even >= 2)", n))
+	}
+	return &RealPlan{n: n, half: NewPlan(n / 2), tw: realTwiddles(n)}
+}
+
+// Size returns the real signal length the plan was built for.
+func (p *RealPlan) Size() int { return p.n }
+
+// Bins returns the number of spectrum bins, n/2+1.
+func (p *RealPlan) Bins() int { return p.n/2 + 1 }
+
+// Forward writes bins 0..n/2 of the unnormalized DFT of the real
+// signal src (length Size) into dst (length Bins).
+func (p *RealPlan) Forward(dst []complex128, src []float64) {
+	h := p.n / 2
+	if len(src) != p.n || len(dst) != h+1 {
+		panic(fmt.Sprintf("dsp: real plan size %d, got dst %d src %d", p.n, len(dst), len(src)))
+	}
+	z := dst[:h]
+	for k := range z {
+		z[k] = complex(src[2*k], src[2*k+1])
+	}
+	p.half.Forward(z, z)
+	// With Z the half-size transform of z = even + i*odd, the even and
+	// odd spectra are E[k] = (Z[k] + conj(Z[h-k]))/2 and
+	// O[k] = (Z[k] - conj(Z[h-k]))/(2i), and X[k] = E[k] + W^k O[k].
+	// Bins k and h-k share their inputs, so each pair is split in place.
+	z0 := z[0]
+	dst[0] = complex(real(z0)+imag(z0), 0)
+	dst[h] = complex(real(z0)-imag(z0), 0)
+	for k := 1; 2*k <= h; k++ {
+		a, b := z[k], z[h-k]
+		b = complex(real(b), -imag(b))
+		e := complex((real(a)+real(b))*0.5, (imag(a)+imag(b))*0.5)
+		o := complex((imag(a)-imag(b))*0.5, (real(b)-real(a))*0.5) // (a-b)/(2i)
+		wo := p.tw[k] * o
+		dst[k] = e + wo
+		if k != h-k {
+			v := e - wo
+			dst[h-k] = complex(real(v), -imag(v))
+		}
+	}
+}
+
+// Inverse writes the n real samples whose spectrum has bins 0..n/2
+// equal to src, normalized by 1/n like Plan.Inverse, so
+// Inverse(Forward(x)) == x. The imaginary parts of bins 0 and n/2 are
+// ignored, as they are zero for any real signal. src is used as
+// scratch space and overwritten.
+func (p *RealPlan) Inverse(dst []float64, src []complex128) {
+	h := p.n / 2
+	if len(dst) != p.n || len(src) != h+1 {
+		panic(fmt.Sprintf("dsp: real plan size %d, got dst %d src %d", p.n, len(dst), len(src)))
+	}
+	// Undo the split: E[k] = (X[k] + conj(X[h-k]))/2 and
+	// O[k] = (X[k] - conj(X[h-k])) conj(W^k)/2 rebuild Z = E + i*O,
+	// whose half-size inverse is even + i*odd.
+	x0, xh := real(src[0]), real(src[h])
+	z := src[:h]
+	z[0] = complex((x0+xh)*0.5, (x0-xh)*0.5)
+	for k := 1; 2*k <= h; k++ {
+		a, b := src[k], src[h-k]
+		b = complex(real(b), -imag(b))
+		e := complex((real(a)+real(b))*0.5, (imag(a)+imag(b))*0.5)
+		w := p.tw[k]
+		o := (a - b) * complex(real(w)*0.5, -imag(w)*0.5)
+		z[k] = complex(real(e)-imag(o), imag(e)+real(o)) // e + i*o
+		if k != h-k {
+			// Z[h-k] = conj(e) + i*conj(o).
+			z[h-k] = complex(real(e)+imag(o), real(o)-imag(e))
+		}
+	}
+	p.half.Inverse(z, z)
+	for k, v := range z {
+		dst[2*k] = real(v)
+		dst[2*k+1] = imag(v)
+	}
+}
+
 // FFT returns the forward DFT of x as a new slice. For repeated
 // transforms of the same size prefer NewPlan.
 func FFT(x []complex128) []complex128 {

@@ -309,3 +309,101 @@ func BenchmarkFFT4800(b *testing.B) {
 		p.Forward(out, x)
 	}
 }
+
+// realPlanSizes covers every power of two from 2 to 65,536, the
+// modem's symbol sizes and an even size whose half (77 = 7*11) runs on
+// Bluestein.
+func realPlanSizes() []int {
+	var sizes []int
+	for n := 2; n <= 1<<16; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	return append(sizes, 960, 1920, 4800, 154)
+}
+
+func TestRealPlanMatchesComplexPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range realPlanSizes() {
+		x := randReal(n, rng)
+		full := make([]complex128, n)
+		NewPlan(n).Forward(full, Complex(x))
+		rp := NewRealPlan(n)
+		if rp.Size() != n || rp.Bins() != n/2+1 {
+			t.Fatalf("n=%d: Size %d Bins %d", n, rp.Size(), rp.Bins())
+		}
+		half := make([]complex128, rp.Bins())
+		rp.Forward(half, x)
+		// Transform rounding grows like sqrt(n): compare against the
+		// spectrum's own scale.
+		tol := 1e-13 * math.Sqrt(float64(n)) * math.Sqrt(Energy(x))
+		if e := maxErr(half, full[:n/2+1]); e > tol {
+			t.Errorf("n=%d: forward max err %g (tol %g)", n, e, tol)
+		}
+
+		// The inverse of the half spectrum is the real part of the
+		// complex inverse of the full Hermitian spectrum.
+		wantInv := make([]complex128, n)
+		NewPlan(n).Inverse(wantInv, full)
+		got := make([]float64, n)
+		rp.Inverse(got, half)
+		for i := range got {
+			if d := math.Abs(got[i] - real(wantInv[i])); d > 1e-12 {
+				t.Fatalf("n=%d: inverse sample %d off by %g", n, i, d)
+			}
+		}
+		if e := maxAbsDiff(got, x); e > 1e-12 {
+			t.Errorf("n=%d: Inverse(Forward(x)) max err %g", n, e)
+		}
+	}
+}
+
+func TestRealPlanRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	f := func(seed int64, sizeSel uint8) bool {
+		sizes := realPlanSizes()
+		n := sizes[int(sizeSel)%len(sizes)]
+		if n > 4096 {
+			n = 4096 // keep the property loop fast; large sizes are above
+		}
+		r := rand.New(rand.NewSource(seed))
+		x := randReal(n, r)
+		rp := NewRealPlan(n)
+		spec := make([]complex128, rp.Bins())
+		rp.Forward(spec, x)
+		back := make([]float64, n)
+		rp.Inverse(back, spec)
+		return maxAbsDiff(back, x) < 1e-10
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRealPlanRejectsOddAndMismatchedSizes(t *testing.T) {
+	for _, n := range []int{-2, 0, 1, 3, 961} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRealPlan(%d) did not panic", n)
+				}
+			}()
+			NewRealPlan(n)
+		}()
+	}
+	rp := NewRealPlan(16)
+	for name, call := range map[string]func(){
+		"forward src": func() { rp.Forward(make([]complex128, 9), make([]float64, 15)) },
+		"forward dst": func() { rp.Forward(make([]complex128, 16), make([]float64, 16)) },
+		"inverse dst": func() { rp.Inverse(make([]float64, 8), make([]complex128, 9)) },
+		"inverse src": func() { rp.Inverse(make([]float64, 16), make([]complex128, 8)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s length mismatch did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

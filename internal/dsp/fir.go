@@ -128,12 +128,28 @@ func (s *FIRState) Process(x []float64) []float64 {
 	copy(ext, s.hist)
 	copy(ext[len(s.hist):], x)
 	out := make([]float64, len(x))
-	for i := range x {
-		// ext index of current sample: i + nt - 1
+	// Output i is sum_j taps[j]*ext[i+nt-1-j], accumulated in tap order.
+	// Four outputs per pass share each tap load; each still adds its
+	// products in the same order, so the result is bit-identical to
+	// one output at a time.
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		var a0, a1, a2, a3 float64
+		w := ext[i : i+nt+3]
+		for j, t := range s.taps {
+			v := w[nt-1-j : nt+3-j : nt+3-j]
+			a0 += t * v[0]
+			a1 += t * v[1]
+			a2 += t * v[2]
+			a3 += t * v[3]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+	}
+	for ; i < len(x); i++ {
 		var acc float64
-		base := i + nt - 1
-		for j := 0; j < nt; j++ {
-			acc += s.taps[j] * ext[base-j]
+		w := ext[i : i+nt]
+		for j, t := range s.taps {
+			acc += t * w[nt-1-j]
 		}
 		out[i] = acc
 	}

@@ -95,6 +95,62 @@ func TestFIRStateMatchesBatch(t *testing.T) {
 	}
 }
 
+// scalarFIR is the one-output-at-a-time streaming loop FIRState used
+// before it blocked four outputs per pass, kept verbatim as the
+// bit-exact reference.
+type scalarFIR struct {
+	taps []float64
+	hist []float64
+}
+
+func (s *scalarFIR) Process(x []float64) []float64 {
+	nt := len(s.taps)
+	ext := make([]float64, len(s.hist)+len(x))
+	copy(ext, s.hist)
+	copy(ext[len(s.hist):], x)
+	out := make([]float64, len(x))
+	for i := range x {
+		// ext index of current sample: i + nt - 1
+		var acc float64
+		base := i + nt - 1
+		for j := 0; j < nt; j++ {
+			acc += s.taps[j] * ext[base-j]
+		}
+		out[i] = acc
+	}
+	// Retain the last nt-1 inputs.
+	if len(ext) >= nt-1 {
+		copy(s.hist, ext[len(ext)-(nt-1):])
+	}
+	return out
+}
+
+// TestFIRStateBitIdenticalToScalar pins the blocked loop to the scalar
+// one bit for bit, over every tap count from 1 to 140 and chunk lengths
+// that leave every remainder of the four-wide block, with history
+// carried across calls.
+func TestFIRStateBitIdenticalToScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	chunks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 3, 0, 7}
+	for nt := 1; nt <= 140; nt++ {
+		taps := randReal(nt, rng)
+		got := NewFIRState(&FIR{Taps: taps})
+		want := &scalarFIR{taps: append([]float64(nil), taps...), hist: make([]float64, nt-1)}
+		for _, n := range chunks {
+			x := randReal(n, rng)
+			g, w := got.Process(x), want.Process(x)
+			if len(g) != len(w) {
+				t.Fatalf("taps %d chunk %d: %d outputs, want %d", nt, n, len(g), len(w))
+			}
+			for i := range w {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("taps %d chunk %d: output %d is %v, scalar loop gives %v", nt, n, i, g[i], w[i])
+				}
+			}
+		}
+	}
+}
+
 func TestFIRStateReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	f := DesignLowpass(4000, 48000, 32, Hann)

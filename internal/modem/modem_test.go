@@ -81,6 +81,7 @@ func TestConfigValidation(t *testing.T) {
 		{SampleRate: 48000, SpacingHz: 50, BandLowHz: 4000, BandHighHz: 1000},  // inverted
 		{SampleRate: 48000, SpacingHz: 50, BandLowHz: 1000, BandHighHz: 25000}, // beyond Nyquist
 		{SampleRate: 48000, SpacingHz: 50, BandLowHz: 1025, BandHighHz: 4000},  // misaligned
+		{SampleRate: 44100, SpacingHz: 100, BandLowHz: 1000, BandHighHz: 4000}, // odd symbol length
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -138,6 +139,38 @@ func TestSymbolRoundTrip(t *testing.T) {
 		if e := dsp.CAbs2(got[i] - bins[i]); e > 1e-18 {
 			if e > 1e-12 {
 				t.Fatalf("bin %d: got %v want %v", i, got[i], bins[i])
+			}
+		}
+	}
+}
+
+// TestSynthesizeAnalyzeBandEdges checks analyze(synthesize(v)) == v on
+// the half-spectrum transforms for every band edge: each bin is the
+// first data bin of one band and the last data bin of another, and
+// bins outside the band must come back silent. It runs Fig 17's three
+// numerologies.
+func TestSynthesizeAnalyzeBandEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, spacing := range []int{50, 25, 10} {
+		m := mustModem(t, DefaultConfig().WithSpacing(spacing))
+		nb, n := m.cfg.NumBins(), m.cfg.N()
+		bins := make([]complex128, nb)
+		got := make([]complex128, nb)
+		body := make([]float64, n)
+		for e := 0; e < nb; e++ {
+			for _, b := range []Band{{Lo: e, Hi: nb - 1}, {Lo: 0, Hi: e}} {
+				clear(bins)
+				for i := b.Lo; i <= b.Hi; i++ {
+					ang := 2 * math.Pi * rng.Float64()
+					bins[i] = complex(math.Cos(ang), math.Sin(ang))
+				}
+				m.plan.synthesize(bins, m.cfg.BinLow(), body)
+				m.plan.analyze(body, m.cfg.BinLow(), nb, got)
+				for i := range bins {
+					if d := dsp.CAbs2(got[i] - bins[i]); d > 1e-20 {
+						t.Fatalf("spacing %d band %+v: bin %d came back %v, want %v", spacing, b, i, got[i], bins[i])
+					}
+				}
 			}
 		}
 	}

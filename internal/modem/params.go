@@ -79,6 +79,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("modem: band edges must align to subcarrier spacing %d", c.SpacingHz)
 	}
 	n := c.SampleRate / c.SpacingHz
+	if n%2 != 0 {
+		// The symbol transforms are real-signal FFTs of even size.
+		return fmt.Errorf("modem: symbol length %d (sample rate / spacing) must be even", n)
+	}
 	if c.CPLen == 0 {
 		// The paper's 67/960 ratio, scaled to the symbol length.
 		c.CPLen = n * DefaultCPLen960 / 960

@@ -7,17 +7,19 @@ import (
 	"aquago/internal/seq"
 )
 
-// fftPlan wraps the dsp plan with the real-passband OFDM conventions:
-// data rides on positive-frequency bins with Hermitian mirroring so
-// the time-domain waveform is real.
+// fftPlan wraps the dsp real-signal plan with the passband OFDM
+// conventions: data rides on positive-frequency bins, and the
+// transform's implied Hermitian mirror keeps the waveform real.
 type fftPlan struct {
 	n    int
-	plan *dsp.Plan
-	buf  []complex128
+	plan *dsp.RealPlan
+	spec []complex128 // bins 0..n/2
 }
 
 func newFFTPlan(n int) *fftPlan {
-	return &fftPlan{n: n, plan: dsp.NewPlan(n), buf: make([]complex128, n)}
+	p := &fftPlan{n: n, plan: dsp.NewRealPlan(n)}
+	p.spec = make([]complex128, p.plan.Bins())
+	return p
 }
 
 // synthesize converts data-bin values (length numBins, mapped to FFT
@@ -25,36 +27,24 @@ func newFFTPlan(n int) *fftPlan {
 // of n samples. Bins outside the data band are zero. The output is
 // scaled so that each active subcarrier contributes unit RMS.
 func (p *fftPlan) synthesize(bins []complex128, binLow int, out []float64) {
-	for i := range p.buf {
-		p.buf[i] = 0
-	}
-	for i, v := range bins {
-		k := binLow + i
-		p.buf[k] = v
-		p.buf[p.n-k] = dsp.Conj(v)
-	}
-	p.plan.Inverse(p.buf, p.buf)
+	clear(p.spec)
+	copy(p.spec[binLow:], bins)
+	p.plan.Inverse(out[:p.n], p.spec)
 	// The normalized inverse turns a unit bin into a 2/n-amplitude
 	// cosine; rescale by n/2 so each unit-magnitude subcarrier is a
 	// unit-amplitude cosine in time.
-	scale := float64(p.n) / 2
-	for i := 0; i < p.n; i++ {
-		out[i] = real(p.buf[i]) * scale
-	}
+	dsp.Scale(out[:p.n], float64(p.n)/2)
 }
 
 // analyze converts a real symbol body (n samples) into data-bin values
 // with the inverse scaling of synthesize.
 func (p *fftPlan) analyze(body []float64, binLow, numBins int, out []complex128) {
-	for i := 0; i < p.n; i++ {
-		p.buf[i] = complex(body[i], 0)
-	}
-	p.plan.Forward(p.buf, p.buf)
+	p.plan.Forward(p.spec, body[:p.n])
 	// A unit-amplitude cosine at bin k transforms to (n/2) at that
 	// bin, so 2/n makes analyze(synthesize(v)) == v.
 	scale := complex(2/float64(p.n), 0)
 	for i := 0; i < numBins; i++ {
-		out[i] = p.buf[binLow+i] * scale
+		out[i] = p.spec[binLow+i] * scale
 	}
 }
 
