@@ -97,9 +97,6 @@ func BenchmarkFig19MAC(b *testing.B) { benchExperiment(b, "fig19") }
 // and feedback error rates.
 func BenchmarkTabPreambleDetection(b *testing.B) { benchExperiment(b, "tab-preamble") }
 
-// BenchmarkTabRuntime regenerates the §3 runtime table.
-func BenchmarkTabRuntime(b *testing.B) { benchExperiment(b, "tab-runtime") }
-
 // BenchmarkMacLoadGoodput regenerates the beyond-paper MAC
 // goodput-vs-offered-load sweep on the live Network.
 func BenchmarkMacLoadGoodput(b *testing.B) { benchExperiment(b, "macload") }

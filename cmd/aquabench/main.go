@@ -20,16 +20,15 @@
 //
 // -workers sizes the parallel experiment engine (0 = one worker per
 // CPU core, 1 = serial); results are identical for any value. -json
-// additionally writes a machine-readable benchmark file with the
-// wall time and series of every experiment, the start of the repo's
-// performance trajectory across PRs. When the output file already
-// exists, experiments not re-run this invocation are carried over, so
-// `-macload -json` merges its block into a full BENCH_exp.json
-// instead of truncating it. -diff compares every throughput series —
-// goodput and the scale harness's committed exchanges per wall-second
-// — against a reference bench file and exits non-zero on a > 15 %
-// regression (the CI bench job's gate). -scale runs the harbor
-// build-out sweep (250 to 10k nodes; quick mode stops at 1k). -image
+// writes BENCH_exp.json: the run's inputs and every experiment's
+// simulated outcomes, so the same inputs write the same bytes. An
+// existing file is merged: entries not re-run are kept unless no
+// longer registered, so `-exp fig12,macload -json` re-baselines just
+// those. -diff is the CI bench job's exact gate: every experiment this
+// run re-ran must equal its reference entry, else it prints each
+// changed series' largest relative change and exits 1 (2 when the
+// reference has other seed, quick or packets). -scale runs the harbor
+// sweep (250 to 10k nodes; quick mode stops at 1k). -image
 // runs the progressive image transmission study (ARQ stream goodput
 // and time-to-first-usable-preview vs range, hop count and load).
 // -mobility runs the drifting-diver study (bulk relay goodput and
@@ -47,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,29 +57,20 @@ import (
 // not overflow.
 const maxSeed = math.MaxInt64 / 2
 
-// throughputRegressionTolerance is how far a gated throughput point
-// (goodput, committed exchanges per wall-second) may fall below the
-// -diff reference before the run fails.
-const throughputRegressionTolerance = 0.15
-
 // benchExperiment is one experiment's entry in the -json output.
 type benchExperiment struct {
 	ID     string     `json:"id"`
-	WallMS float64    `json:"wall_ms"`
 	Error  string     `json:"error,omitempty"`
 	Report exp.Report `json:"report"`
 }
 
-// benchFile is the top-level -json document (BENCH_exp.json).
+// benchFile is the top-level -json document (BENCH_exp.json). It holds
+// the run's inputs and virtual-time outcomes only; host cost is
+// cmd/aquaperf's record.
 type benchFile struct {
-	Timestamp   string            `json:"timestamp"`
-	GoVersion   string            `json:"go_version"`
-	NumCPU      int               `json:"num_cpu"`
-	Workers     int               `json:"workers"`
 	Packets     int               `json:"packets"`
 	Seed        int64             `json:"seed"`
 	Quick       bool              `json:"quick"`
-	TotalMS     float64           `json:"total_ms"`
 	Experiments []benchExperiment `json:"experiments"`
 }
 
@@ -167,9 +158,9 @@ func readBenchFile(path string) (benchFile, error) {
 
 // mergeBench carries prev's experiments into cur: entries re-run this
 // invocation keep their fresh results (in prev's position), entries
-// not re-run survive untouched, and brand-new IDs append in run order.
-// The header describes the current invocation, except TotalMS, which
-// sums the merged entries' wall times so it covers the whole record.
+// not re-run survive untouched unless their ID is no longer
+// registered, and brand-new IDs append in run order. The header
+// describes the current invocation.
 func mergeBench(prev, cur benchFile) benchFile {
 	fresh := make(map[string]benchExperiment, len(cur.Experiments))
 	for _, e := range cur.Experiments {
@@ -181,6 +172,8 @@ func mergeBench(prev, cur benchFile) benchFile {
 		seen[e.ID] = true
 		if f, ok := fresh[e.ID]; ok {
 			e = f
+		} else if _, ok := exp.Lookup(e.ID); !ok {
+			continue // a deleted or renamed harness
 		}
 		merged = append(merged, e)
 	}
@@ -190,92 +183,90 @@ func mergeBench(prev, cur benchFile) benchFile {
 		}
 	}
 	cur.Experiments = merged
-	cur.TotalMS = 0
-	for _, e := range merged {
-		cur.TotalMS += e.WallMS
-	}
 	return cur
 }
 
-// gatedSeries reports whether a series name is throughput-gated by
-// -diff: the goodput sweeps, plus the scale harness's committed
-// exchanges per wall-second (the 1k-10k-node admission/routing hot
-// path — a spatial-index regression shows up here first).
-func gatedSeries(name string) bool {
-	return strings.Contains(name, "goodput") || strings.Contains(name, "committed exchanges")
-}
-
-// diffThroughput compares every gated throughput series of cur against
-// ref and reports the points that regressed by more than tol
-// (relative). Points are matched by series name AND X value (the
-// offered load or node count), so a baseline generated at a different
-// sweep scale gates only the points both runs measured instead of
-// comparing unrelated loads by index. A series or experiment absent
-// from ref is skipped — new coverage is not a regression — but an
-// experiment cur re-ran must still carry *some* gated series wherever
-// ref had one, so the gate cannot be dodged by dropping the block
-// (experiments not selected this invocation are exempt: a partial run
-// only gates what it measured).
-func diffThroughput(ref, cur benchFile, tol float64) error {
-	type refSeries struct {
-		expID  string
-		byX    map[float64]float64
-		series exp.Series
+// diffBench checks that every experiment of cur equals its entry in
+// ref, exactly. Experiments ref has but cur did not run are exempt, so
+// a partial run gates only what it measured, and a cur without
+// experiments checks only the run inputs. The error lists each
+// difference; a changed series carries its largest relative change,
+// the table an intended re-baseline records.
+func diffBench(ref, cur benchFile) error {
+	if ref.Seed != cur.Seed || ref.Quick != cur.Quick || ref.Packets != cur.Packets {
+		return fmt.Errorf("reference has seed %d, quick %t, packets %d; this run seed %d, quick %t, packets %d",
+			ref.Seed, ref.Quick, ref.Packets, cur.Seed, cur.Quick, cur.Packets)
 	}
-	refs := make(map[string]refSeries)
-	gatedExps := make(map[string]bool)
+	refs := make(map[string]benchExperiment, len(ref.Experiments))
 	for _, e := range ref.Experiments {
-		for _, s := range e.Report.Series {
-			if !gatedSeries(s.Name) {
-				continue
-			}
-			byX := make(map[float64]float64, len(s.X))
-			for i := range s.X {
-				byX[s.X[i]] = s.Y[i]
-			}
-			refs[e.ID+"/"+s.Name] = refSeries{expID: e.ID, byX: byX, series: s}
-			gatedExps[e.ID] = true
-		}
-	}
-	if len(refs) == 0 {
-		return nil // reference predates the throughput blocks
+		refs[e.ID] = e
 	}
 	var problems []string
-	curGatedExps := make(map[string]bool)
 	for _, e := range cur.Experiments {
-		for _, s := range e.Report.Series {
-			if !gatedSeries(s.Name) {
-				continue
-			}
-			curGatedExps[e.ID] = true
-			rs, ok := refs[e.ID+"/"+s.Name]
-			if !ok {
-				continue
-			}
-			for i := range s.X {
-				refY, ok := rs.byX[s.X[i]]
-				if !ok {
-					continue // load point not in the reference grid
-				}
-				if s.Y[i] < refY*(1-tol) {
-					problems = append(problems, fmt.Sprintf(
-						"%s/%s at x=%.4g: %.4g -> %.4g (-%.0f%%)",
-						e.ID, s.Name, s.X[i], refY, s.Y[i], 100*(1-s.Y[i]/refY)))
-				}
-			}
+		r, ok := refs[e.ID]
+		if !ok {
+			problems = append(problems, e.ID+": no entry in the reference")
+			continue
 		}
-	}
-	for _, e := range cur.Experiments {
-		if gatedExps[e.ID] && !curGatedExps[e.ID] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: reference has throughput series but this run produced none", e.ID))
-		}
+		problems = append(problems, entryChanges(r, e)...)
 	}
 	if len(problems) > 0 {
-		return fmt.Errorf("throughput regressed beyond %.0f%% vs reference:\n  %s",
-			100*tol, strings.Join(problems, "\n  "))
+		return fmt.Errorf("%d difference(s) from the reference:\n  %s",
+			len(problems), strings.Join(problems, "\n  "))
 	}
 	return nil
+}
+
+// entryChanges lists how cur's entry differs from ref's.
+func entryChanges(ref, cur benchExperiment) []string {
+	var out []string
+	add := func(format string, args ...any) {
+		out = append(out, cur.ID+": "+fmt.Sprintf(format, args...))
+	}
+	rr, cr := ref.Report, cur.Report
+	if ref.Error != cur.Error || rr.ID != cr.ID || rr.Title != cr.Title {
+		add("id/title/error %q/%q/%q -> %q/%q/%q", rr.ID, rr.Title, ref.Error, cr.ID, cr.Title, cur.Error)
+	}
+	if !slices.Equal(rr.Notes, cr.Notes) {
+		add("notes %q -> %q", rr.Notes, cr.Notes)
+	}
+	if len(rr.Series) != len(cr.Series) {
+		add("%d series -> %d", len(rr.Series), len(cr.Series))
+		return out
+	}
+	for i, rs := range rr.Series {
+		cs := cr.Series[i]
+		switch {
+		case rs.Name != cs.Name || rs.XLabel != cs.XLabel || rs.YLabel != cs.YLabel:
+			add("series %d %q (%s, %s) -> %q (%s, %s)", i, rs.Name, rs.XLabel, rs.YLabel, cs.Name, cs.XLabel, cs.YLabel)
+		case !slices.Equal(rs.X, cs.X):
+			add("%s: X grid %v -> %v", rs.Name, rs.X, cs.X)
+		case !slices.Equal(rs.Y, cs.Y):
+			rel, x := largestRelChange(rs, cs)
+			add("%s: Y largest relative change %.2g (x=%g)", rs.Name, rel, x)
+		}
+	}
+	return out
+}
+
+// largestRelChange returns the largest |cur-ref|/|ref| over the points
+// of two series on the same X grid, and the X it occurs at (a change
+// from 0 counts as 1).
+func largestRelChange(ref, cur exp.Series) (rel, x float64) {
+	for i := range ref.Y {
+		d := math.Abs(cur.Y[i] - ref.Y[i])
+		if d == 0 {
+			continue
+		}
+		r := 1.0
+		if ref.Y[i] != 0 {
+			r = d / math.Abs(ref.Y[i])
+		}
+		if r > rel {
+			rel, x = r, ref.X[i]
+		}
+	}
+	return rel, x
 }
 
 // startProfiles starts a CPU profile into cpuPath, when set, and
@@ -322,16 +313,16 @@ func main() {
 	ids := flag.String("exp", "", "comma-separated experiment IDs")
 	macload := flag.Bool("macload", false, "run the MAC goodput sweep and capture-effect SIR study (macload, macsir)")
 	multihop := flag.Bool("multihop", false, "run the multi-hop relay study (multihop)")
-	scale := flag.Bool("scale", false, "run the 1k-10k-node harbor build-out sweep (scale)")
+	scale := flag.Bool("scale", false, "run the 250-10k-node harbor relay sweep (scale)")
 	image := flag.Bool("image", false, "run the progressive image transmission study (image)")
 	mobility := flag.Bool("mobility", false, "run the drifting-diver mobility study (mobility)")
 	packets := flag.Int("packets", 0, "packets per measurement point (0 = default 100)")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced workloads for a fast pass")
 	workers := flag.Int("workers", 0, "worker pool size (0 = all cores, 1 = serial)")
-	jsonOut := flag.Bool("json", false, "write per-experiment timings and series as JSON")
+	jsonOut := flag.Bool("json", false, "write every experiment's notes and series as JSON")
 	outPath := flag.String("out", "BENCH_exp.json", "output path for -json")
-	diffPath := flag.String("diff", "", "reference bench file; exit non-zero if any throughput series regresses > 15%")
+	diffPath := flag.String("diff", "", "reference bench file; exit 1 if any re-run experiment's record differs from it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the selected experiments, to this file")
 	flag.Parse()
@@ -351,12 +342,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(2)
 	}
-	// Read the regression reference and any previous output up front:
+	// Read the -diff reference and any previous output up front:
 	// -diff and -out may name the same file, and merge must see the
-	// pre-run state.
+	// pre-run state. A reference made with other inputs is a usage
+	// error, caught before anything runs.
+	bench := benchFile{Packets: *packets, Seed: *seed, Quick: *quick}
 	var refBench *benchFile
 	if *diffPath != "" {
 		bf, err := readBenchFile(*diffPath)
+		if err == nil {
+			err = diffBench(bf, bench)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "aquabench: -diff %s: %v\n", *diffPath, err)
 			os.Exit(2)
@@ -371,27 +367,16 @@ func main() {
 	}
 
 	cfg := exp.RunConfig{Packets: *packets, Seed: *seed, Quick: *quick, Workers: *workers}
-	bench := benchFile{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Workers:   *workers,
-		Packets:   *packets,
-		Seed:      *seed,
-		Quick:     *quick,
-	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench: profile:", err)
 		os.Exit(2)
 	}
 	failed := false
-	totalStart := time.Now()
 	for _, id := range selected {
 		start := time.Now()
 		rep, err := exp.Run(id, cfg)
-		wallMS := float64(time.Since(start).Microseconds()) / 1000
-		entry := benchExperiment{ID: id, WallMS: wallMS, Report: rep}
+		entry := benchExperiment{ID: id, Report: rep}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "aquabench: %s: %v\n", id, err)
 			entry.Error = err.Error()
@@ -402,7 +387,6 @@ func main() {
 		}
 		bench.Experiments = append(bench.Experiments, entry)
 	}
-	bench.TotalMS = float64(time.Since(totalStart).Microseconds()) / 1000
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench: profile:", err)
 		failed = true
@@ -423,15 +407,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "aquabench: write %s: %v\n", *outPath, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d experiments, total %.0f ms)\n",
-			*outPath, len(outBench.Experiments), outBench.TotalMS)
+		fmt.Printf("wrote %s (%d experiments)\n", *outPath, len(outBench.Experiments))
 	}
 	if refBench != nil {
-		if err := diffThroughput(*refBench, bench, throughputRegressionTolerance); err != nil {
+		if err := diffBench(*refBench, bench); err != nil {
 			fmt.Fprintln(os.Stderr, "aquabench:", err)
 			failed = true
 		} else {
-			fmt.Printf("throughput within %.0f%% of %s\n", 100*throughputRegressionTolerance, *diffPath)
+			fmt.Printf("every re-run experiment matches %s exactly\n", *diffPath)
 		}
 	}
 	if failed {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,18 +98,18 @@ func TestValidateBenchFlags(t *testing.T) {
 	}
 }
 
-// fileWith builds a minimal bench file from (experiment, series, Y
-// values) triples for merge/diff tests.
+// fileWith builds a minimal bench file (seed 1, quick) for merge and
+// diff tests.
 func fileWith(entries ...benchExperiment) benchFile {
-	return benchFile{Experiments: entries}
+	return benchFile{Seed: 1, Quick: true, Experiments: entries}
 }
 
 func entry(id string, series ...exp.Series) benchExperiment {
-	return benchExperiment{ID: id, Report: exp.Report{ID: id, Series: series}}
+	return benchExperiment{ID: id, Report: exp.Report{ID: id, Title: id + " title", Series: series}}
 }
 
-func goodputSeries(name string, ys ...float64) exp.Series {
-	s := exp.Series{Name: name}
+func series(name string, ys ...float64) exp.Series {
+	s := exp.Series{Name: name, XLabel: "x", YLabel: "y"}
 	for i, y := range ys {
 		s.X = append(s.X, float64(i))
 		s.Y = append(s.Y, y)
@@ -117,156 +119,197 @@ func goodputSeries(name string, ys ...float64) exp.Series {
 
 func TestMergeBenchCarriesUnrunExperiments(t *testing.T) {
 	prev := fileWith(
-		entry("fig09", goodputSeries("per", 1)),
-		entry("macload", goodputSeries("goodput old", 10)),
+		entry("fig09", series("per", 1)),
+		entry("tab-runtime", series("runtimes", 667)), // no longer registered
+		entry("macload", series("goodput old", 10)),
 	)
-	prev.Experiments[0].WallMS = 100
-	prev.Experiments[1].WallMS = 7000
-	prev.TotalMS = 7100
 	cur := fileWith(
-		entry("macload", goodputSeries("goodput new", 12)),
-		entry("macsir", goodputSeries("survival", 1)),
+		entry("macload", series("goodput new", 12)),
+		entry("macsir", series("survival", 1)),
 	)
-	cur.Experiments[0].WallMS = 5000
-	cur.Experiments[1].WallMS = 900
-	cur.TotalMS = 5950
 	got := mergeBench(prev, cur)
-	if len(got.Experiments) != 3 {
-		t.Fatalf("merged %d experiments, want 3: %+v", len(got.Experiments), got.Experiments)
+	var ids []string
+	for _, e := range got.Experiments {
+		ids = append(ids, e.ID)
 	}
-	if got.Experiments[0].ID != "fig09" {
-		t.Fatalf("carried experiment lost its position: %+v", got.Experiments)
+	// fig09 keeps its position, macload is replaced in place, macsir
+	// appends, and the unregistered tab-runtime entry is dropped.
+	if !slices.Equal(ids, []string{"fig09", "macload", "macsir"}) {
+		t.Fatalf("merged %v, want [fig09 macload macsir]", ids)
 	}
-	if got.Experiments[1].ID != "macload" || got.Experiments[1].Report.Series[0].Name != "goodput new" {
+	if got.Experiments[1].Report.Series[0].Name != "goodput new" {
 		t.Fatalf("re-run experiment not replaced in place: %+v", got.Experiments[1])
 	}
-	if got.Experiments[2].ID != "macsir" {
-		t.Fatalf("new experiment not appended: %+v", got.Experiments)
+}
+
+// TestDiffBenchIsExact pins the -diff gate: any difference in a re-run
+// experiment's record fails, whatever the series is called, and only
+// experiments this run did not re-run are exempt.
+func TestDiffBenchIsExact(t *testing.T) {
+	ref := fileWith(
+		entry("macload",
+			series("goodput N=5 envelope energy-cs", 10, 20, 30),
+			series("latency p90 N=5", 1, 2, 3)),
+		entry("image", series("time to first usable preview vs range (stream)", 2, 4)),
+	)
+	ref.Experiments[0].Report.Notes = []string{"conflict width 1"}
+	// mutate returns a deep copy of ref changed by f.
+	mutate := func(f func(*benchFile)) benchFile {
+		var cp benchFile
+		data, err := json.Marshal(ref)
+		if err == nil {
+			err = json.Unmarshal(data, &cp)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(&cp)
+		return cp
 	}
-	// The header's total covers every merged entry, not just this
-	// invocation's: 100 carried + 5000 + 900 re-run.
-	if got.TotalMS != 6000 {
-		t.Fatalf("merged total_ms %.1f, want the entries' sum 6000", got.TotalMS)
+	cases := []struct {
+		name    string
+		cur     benchFile
+		wantErr string // "" = must pass
+	}{
+		{name: "identical record", cur: mutate(func(*benchFile) {})},
+		{name: "experiment not re-run", cur: mutate(func(b *benchFile) {
+			b.Experiments = b.Experiments[:1]
+		})},
+		{name: "1-ULP latency change", wantErr: "latency p90 N=5: Y largest relative change",
+			cur: mutate(func(b *benchFile) {
+				y := b.Experiments[0].Report.Series[1].Y
+				y[2] = math.Nextafter(y[2], 4)
+			})},
+		{name: "1-ULP preview change", wantErr: "time to first usable preview",
+			cur: mutate(func(b *benchFile) {
+				y := b.Experiments[1].Report.Series[0].Y
+				y[0] = math.Nextafter(y[0], 0)
+			})},
+		{name: "changed note", wantErr: `notes ["conflict width 1"] -> ["conflict width 2"]`,
+			cur: mutate(func(b *benchFile) { b.Experiments[0].Report.Notes[0] = "conflict width 2" })},
+		{name: "changed X grid", wantErr: "X grid",
+			cur: mutate(func(b *benchFile) { b.Experiments[0].Report.Series[0].X[1] = 1.5 })},
+		{name: "re-run experiment missing from the reference", wantErr: "fig09: no entry",
+			cur: mutate(func(b *benchFile) {
+				b.Experiments = append(b.Experiments, entry("fig09", series("per", 1)))
+			})},
+		{name: "mismatched seed", wantErr: "seed 1",
+			cur: mutate(func(b *benchFile) { b.Seed = 2 })},
+		{name: "mismatched quick flag", wantErr: "quick true",
+			cur: mutate(func(b *benchFile) { b.Quick = false })},
+		{name: "mismatched inputs before any run", wantErr: "packets 0",
+			cur: benchFile{Seed: 1, Packets: 8}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := diffBench(ref, tc.cur)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("flagged: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want mention of %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
+// TestDiffThroughput pins the gate on a throughput series: a fall the
+// old ±15% tolerance let through now fails and names the load point,
+// as do a changed load grid and a dropped series, while a partial run
+// still exempts what it did not measure.
 func TestDiffThroughput(t *testing.T) {
 	ref := fileWith(entry("macload",
-		goodputSeries("goodput N=5 envelope energy-cs", 10, 20, 30),
-		exp.Series{Name: "latency p90 N=5", Y: []float64{1, 2, 3}},
+		series("goodput N=5 envelope energy-cs", 10, 20, 30),
+		series("latency p90 N=5", 1, 2, 3),
 	))
-
-	// Identical run passes.
-	if err := diffThroughput(ref, ref, 0.15); err != nil {
+	if err := diffBench(ref, ref); err != nil {
 		t.Fatalf("identical runs flagged: %v", err)
 	}
-	// Within tolerance passes; ungated series are ignored even when
-	// they collapse.
-	ok := fileWith(entry("macload",
-		goodputSeries("goodput N=5 envelope energy-cs", 9, 17.5, 27),
-		exp.Series{Name: "latency p90 N=5", Y: []float64{100, 200, 300}},
+	small := fileWith(entry("macload",
+		series("goodput N=5 envelope energy-cs", 10, 17.5, 30),
+		series("latency p90 N=5", 1, 2, 3),
 	))
-	if err := diffThroughput(ref, ok, 0.15); err != nil {
-		t.Fatalf("within-tolerance run flagged: %v", err)
+	err := diffBench(ref, small)
+	if err == nil || !strings.Contains(err.Error(), "goodput N=5 envelope energy-cs: Y largest relative change 0.12 (x=1)") {
+		t.Fatalf("12.5%% goodput fall not reported at x=1: %v", err)
 	}
-	// A > 15% drop on any point fails and names the load point.
-	bad := fileWith(entry("macload",
-		goodputSeries("goodput N=5 envelope energy-cs", 10, 15, 30),
-	))
-	err := diffThroughput(ref, bad, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "x=1") {
-		t.Fatalf("regressed point not reported: %v", err)
-	}
-	// Points are matched by X, not index: a run on a different load
-	// grid gates nothing (no common points), even with lower Y values.
 	regrid := fileWith(entry("macload",
-		exp.Series{Name: "goodput N=5 envelope energy-cs",
-			X: []float64{10, 11, 12}, Y: []float64{1, 1, 1}},
+		exp.Series{Name: "goodput N=5 envelope energy-cs", XLabel: "x", YLabel: "y",
+			X: []float64{10, 11, 12}, Y: []float64{10, 20, 30}},
+		series("latency p90 N=5", 1, 2, 3),
 	))
-	if err := diffThroughput(ref, regrid, 0.15); err != nil {
-		t.Fatalf("disjoint load grid flagged: %v", err)
+	if err := diffBench(ref, regrid); err == nil || !strings.Contains(err.Error(), "X grid") {
+		t.Fatalf("changed load grid not reported: %v", err)
 	}
-	// Dropping every gated series from a re-run experiment fails.
-	dropped := fileWith(entry("macload",
-		exp.Series{Name: "latency p90 N=5", Y: []float64{1, 2, 3}},
-	))
-	if err := diffThroughput(ref, dropped, 0.15); err == nil || !strings.Contains(err.Error(), "produced none") {
+	dropped := fileWith(entry("macload", series("latency p90 N=5", 1, 2, 3)))
+	if err := diffBench(ref, dropped); err == nil || !strings.Contains(err.Error(), "2 series -> 1") {
 		t.Fatalf("dropped goodput series not reported: %v", err)
 	}
-	// Not running the experiment at all exempts it (partial runs only
-	// gate what they measured).
-	partial := fileWith(entry("fig09", goodputSeries("per", 1)))
-	if err := diffThroughput(ref, partial, 0.15); err != nil {
+	partial := fileWith(entry("fig09", series("per", 1)))
+	if err := diffBench(fileWith(ref.Experiments[0], partial.Experiments[0]), partial); err != nil {
 		t.Fatalf("partial run without macload flagged: %v", err)
-	}
-	// A reference without gated series gates nothing.
-	if err := diffThroughput(fileWith(entry("fig09")), bad, 0.15); err != nil {
-		t.Fatalf("throughput-free reference flagged: %v", err)
 	}
 }
 
-// TestDiffThroughputGatesImageGoodput pins the image block's
-// membership in the -diff gate: its goodput series are gated, its
-// preview-time series are not (latency, like the relay study's).
+// TestDiffThroughputGatesImageGoodput pins the image block under the
+// exact gate: its goodput series is gated, and so now is its
+// preview-time series, which the name-matched gate let through.
 func TestDiffThroughputGatesImageGoodput(t *testing.T) {
 	ref := fileWith(entry("image",
-		goodputSeries("image goodput vs range (stream)", 10, 8),
-		exp.Series{Name: "time to first usable preview vs range (stream)", Y: []float64{2, 4}},
+		series("image goodput vs range (stream)", 10, 8),
+		series("time to first usable preview vs range (stream)", 2, 4),
 	))
-	if err := diffThroughput(ref, ref, 0.15); err != nil {
+	if err := diffBench(ref, ref); err != nil {
 		t.Fatalf("identical image runs flagged: %v", err)
 	}
 	bad := fileWith(entry("image",
-		goodputSeries("image goodput vs range (stream)", 10, 4),
-		exp.Series{Name: "time to first usable preview vs range (stream)", Y: []float64{2, 4}},
+		series("image goodput vs range (stream)", 10, 4),
+		series("time to first usable preview vs range (stream)", 2, 4),
 	))
-	err := diffThroughput(ref, bad, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "image goodput") {
+	if err := diffBench(ref, bad); err == nil || !strings.Contains(err.Error(), "image goodput") {
 		t.Fatalf("image goodput regression not reported: %v", err)
 	}
-	// Slower previews alone do not trip the throughput gate.
 	slow := fileWith(entry("image",
-		goodputSeries("image goodput vs range (stream)", 10, 8),
-		exp.Series{Name: "time to first usable preview vs range (stream)", Y: []float64{20, 40}},
+		series("image goodput vs range (stream)", 10, 8),
+		series("time to first usable preview vs range (stream)", 20, 40),
 	))
-	if err := diffThroughput(ref, slow, 0.15); err != nil {
-		t.Fatalf("preview-only slowdown flagged as throughput regression: %v", err)
+	err := diffBench(ref, slow)
+	if err == nil || !strings.Contains(err.Error(), "time to first usable preview") || strings.Contains(err.Error(), "image goodput") {
+		t.Fatalf("preview-only slowdown not reported alone: %v", err)
 	}
 }
 
-// TestDiffThroughputGatesCommittedExchanges pins the scale block's
-// membership in the -diff gate: the committed-exchanges-per-wall-second
-// series regressing > 15% fails even with every goodput series intact.
+// TestDiffThroughputGatesCommittedExchanges pins the scale block under
+// the exact gate: its committed-exchanges series, now a virtual-time
+// count, fails on any change even with every goodput series intact,
+// and a scale re-run that drops it fails.
 func TestDiffThroughputGatesCommittedExchanges(t *testing.T) {
 	ref := fileWith(
-		entry("macload", goodputSeries("goodput N=5 envelope energy-cs", 10, 20)),
+		entry("macload", series("goodput N=5 envelope energy-cs", 10, 20)),
 		entry("scale",
-			goodputSeries("committed exchanges per wall-second vs nodes", 40, 30),
-			exp.Series{Name: "harbor build-out wall time vs nodes", Y: []float64{1, 2}},
+			series("delivered fraction vs nodes", 1, 0.9),
+			series("committed exchanges vs nodes", 400, 300),
 		),
 	)
-	if err := diffThroughput(ref, ref, 0.15); err != nil {
+	if err := diffBench(ref, ref); err != nil {
 		t.Fatalf("identical scale runs flagged: %v", err)
 	}
-	// Wall-time series are not gated (they are wall-clock noise), but
-	// the committed-exchanges rate is.
 	bad := fileWith(
-		entry("macload", goodputSeries("goodput N=5 envelope energy-cs", 10, 20)),
+		entry("macload", series("goodput N=5 envelope energy-cs", 10, 20)),
 		entry("scale",
-			goodputSeries("committed exchanges per wall-second vs nodes", 40, 20),
-			exp.Series{Name: "harbor build-out wall time vs nodes", Y: []float64{100, 200}},
+			series("delivered fraction vs nodes", 1, 0.9),
+			series("committed exchanges vs nodes", 400, 299),
 		),
 	)
-	err := diffThroughput(ref, bad, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "committed exchanges") {
-		t.Fatalf("committed-exchanges regression not reported: %v", err)
+	err := diffBench(ref, bad)
+	if err == nil || !strings.Contains(err.Error(), "scale: committed exchanges vs nodes") || strings.Contains(err.Error(), "macload") {
+		t.Fatalf("committed-exchanges change not reported alone: %v", err)
 	}
-	// A scale re-run that silently drops the committed series fails.
 	droppedScale := fileWith(
-		entry("macload", goodputSeries("goodput N=5 envelope energy-cs", 10, 20)),
-		entry("scale", exp.Series{Name: "harbor build-out wall time vs nodes", Y: []float64{1, 2}}),
+		entry("macload", series("goodput N=5 envelope energy-cs", 10, 20)),
+		entry("scale", series("delivered fraction vs nodes", 1, 0.9)),
 	)
-	if err := diffThroughput(ref, droppedScale, 0.15); err == nil || !strings.Contains(err.Error(), "produced none") {
+	if err := diffBench(ref, droppedScale); err == nil || !strings.Contains(err.Error(), "scale: 2 series -> 1") {
 		t.Fatalf("dropped committed-exchanges series not reported: %v", err)
 	}
 }

@@ -17,8 +17,8 @@
 // mode builds a harbor-scale deployment — a pod lattice sized by
 // -pods-x/-pods-y/-podsize, spatially reusing the 60-tone space under
 // a bounded carrier-sense range — and relays cross-harbor messages,
-// reporting delivery counts and the build-out/routing/driving wall
-// costs (the sweep lives in `aquabench -scale`). The -stream mode
+// reporting delivery counts, hops, makespan and scheduler counters
+// (the sweep lives in `aquabench -scale`). The -stream mode
 // opens a reliable selective-repeat ARQ stream over a single link and
 // reports delivery, retransmission and goodput accounting; -image
 // sends an AquaScope-style progressive image (CRC-8 per block) over a
@@ -543,9 +543,8 @@ func runMobility(pt exp.MobilityPoint, envName string) {
 	fmt.Printf("end-to-end  %.2f s latency, %.2f bps goodput\n", res.LatencyS, res.GoodputBPS)
 }
 
-// runScale builds one harbor point and prints the same numbers the
-// scale harness tabulates, splitting the deterministic traffic outcome
-// from this machine's wall-clock costs.
+// runScale builds one harbor point and prints the deterministic
+// traffic outcome the scale harness tabulates.
 func runScale(pt exp.ScalePoint, envName string) {
 	nodes := pt.PodsX * pt.PodsY * pt.PodSize
 	cs := pt.CSRangeM
@@ -561,11 +560,8 @@ func runScale(pt exp.ScalePoint, envName string) {
 	fmt.Printf("delivered   %d/%d cross-harbor messages over %d total hops (makespan %.1f s)\n",
 		res.Delivered, res.Msgs, res.TotalHops, res.MakespanS)
 	fmt.Printf("losses      %d busy-drops, %d unacked\n", res.BusyDrops, res.NoACKs)
-	fmt.Printf("wall costs  join %.2f s, route %.2f s, drive %.2f s\n",
-		res.JoinWallS, res.RouteWallS, res.DriveWallS)
-	fmt.Printf("scheduler   %d granted, %d committed (%.1f exchanges/wall-s), airtime %.1f s, %d conflict edges\n",
-		res.Sched.Granted, res.Sched.Committed, res.CommittedPerWallSec,
-		res.Sched.AirtimeS, res.Sched.ConflictEdges)
+	fmt.Printf("scheduler   %d granted, %d committed, airtime %.1f s\n",
+		res.Sched.Granted, res.Sched.Committed, res.Sched.AirtimeS)
 }
 
 // runStream measures one reliable stream transfer and prints the ARQ

@@ -18,14 +18,14 @@
 //
 // # Annotations
 //
-// Every analyzer honors a justification annotation on the flagged
-// line or the line directly above it:
+// Every analyzer but wallclock honors a justification annotation on
+// the flagged line or the line directly above it:
 //
 //	//aqualint:<directive> <why>
 //
-// The directives are order-independent (mapiter), wallclock-ok
-// (wallclock), callback-under-lock (lockorder) and chansend-ok
-// (chansend). The justification text is mandatory: an annotation
+// The directives are order-independent (mapiter), callback-under-lock
+// (lockorder) and chansend-ok (chansend); library code cannot excuse a
+// wall-clock read. The justification text is mandatory: an annotation
 // without one is itself a diagnostic, so the "why" lives next to the
 // code it excuses.
 package analysis

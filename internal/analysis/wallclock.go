@@ -15,10 +15,10 @@ import (
 // invariant. time.Now / time.Sleep smuggle the host's wall clock into
 // that world, and the global math/rand functions draw from a
 // process-wide source that other code (or the runtime's random seed)
-// perturbs. Only the cmd/ harnesses — which measure real elapsed time
-// for benchmark records — are allowlisted by path; library code that
-// legitimately measures wall time (an experiment recording its own
-// cost) annotates the site //aqualint:wallclock-ok <why>.
+// perturbs. Only the cmd/ harnesses — which time their own runs and
+// own the process — are allowlisted by path. Library code has no
+// escape hatch: host cost is measured from outside it (cmd/aquaperf,
+// Go benchmarks).
 //
 // Seeded sources remain first-class: rand.New(rand.NewSource(seed))
 // and every method on *rand.Rand are fine, as are time.Duration
@@ -26,8 +26,7 @@ import (
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "forbids time.Now/Sleep-style wall-clock access and global math/rand " +
-		"in library code; cmd/ is allowlisted, other sites need " +
-		"//aqualint:wallclock-ok <why>",
+		"in library code; cmd/ is allowlisted",
 	Run: runWallclock,
 }
 
@@ -55,9 +54,8 @@ var wallclockRandFns = map[string]bool{
 
 func runWallclock(pass *Pass) error {
 	if strings.HasPrefix(pass.Path, "aquago/cmd/") {
-		// The CLI harnesses time real executions (BENCH_exp.json wall
-		// columns) and own the process; the virtual-clock rule is a
-		// library invariant.
+		// The CLI harnesses time their own runs and own the process;
+		// the virtual-clock rule is a library invariant.
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -90,13 +88,9 @@ func runWallclock(pass *Pass) error {
 			if what == "" {
 				return true
 			}
-			if pass.Annotated(sel.Pos(), "wallclock-ok") {
-				return true
-			}
 			pass.Reportf(sel.Pos(),
 				"%s.%s reads %s in library code; simulation state must come from "+
-					"the virtual clock and seeded RNGs — or annotate "+
-					"//aqualint:wallclock-ok <why>",
+					"the virtual clock and seeded RNGs",
 				obj.Pkg().Name(), obj.Name(), what)
 			return true
 		})

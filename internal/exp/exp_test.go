@@ -13,7 +13,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"fig03a", "fig03b", "fig03cd", "fig04", "fig08", "fig09",
 		"fig10", "fig11", "fig12", "fig12d", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19",
-		"tab-preamble", "tab-runtime",
+		"tab-preamble",
 		"abl-waterfill", "abl-macpreamble", "abl-softdecision",
 		"macload", "macsir", "multihop", "scale", "image", "mobility",
 	}

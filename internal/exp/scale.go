@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 
 	"aquago"
 )
@@ -25,11 +23,10 @@ func init() {
 // pods (boats, reef stations) whose members sit within one
 // carrier-sense range of each other, adjacent pods barely audible,
 // distant pods silent. Cross-harbor messages then relay pod to pod,
-// and the measured quantities are wall-clock, not acoustic: how long
-// the build-out (joins + spatial index + incremental route upkeep)
-// takes, how long route resolution takes, and how many committed
-// exchanges per wall-second the conflict-graph scheduler sustains
-// when almost all of the network is mutually inaudible.
+// and the harness records their virtual-time outcomes: how many
+// arrive, over how many relay hops, when the last one lands and how
+// many exchanges the scheduler committed on the way. The host cost of
+// building and routing such a harbor is aquaperf's harbor workload.
 
 // maxScaleNodes bounds one harbor so a misconfigured CLI cannot ask
 // for millions of joins; 60 tones per pod also caps pods at
@@ -162,12 +159,9 @@ func scaleLayout(p ScalePoint) (ids []aquago.DeviceID, pos []aquago.Position) {
 	return ids, pos
 }
 
-// ScaleResult reports one harbor point. The traffic fields (Delivered
-// through MakespanS, plus Granted/Committed/AirtimeS inside Sched)
-// are deterministic — identical for any worker count; the *WallS
-// fields and CommittedPerWallSec are wall-clock measurements of this
-// run on this machine, and Sched.MaxConcurrent/ConflictEdges depend
-// on wall-clock overlap.
+// ScaleResult reports one harbor point. The traffic fields and
+// Sched's Granted/Committed/AirtimeS counters are deterministic —
+// identical for any worker count.
 type ScaleResult struct {
 	Nodes, Pods int
 	// Msgs counts offered cross-harbor transfers; Delivered the ones
@@ -178,14 +172,6 @@ type ScaleResult struct {
 	TotalHops int
 	// MakespanS is the virtual time the last delivery completed at.
 	MakespanS float64
-	// JoinWallS is the wall-clock build-out time: all joins, including
-	// spatial-index and route-cache upkeep. RouteWallS is the
-	// wall-clock cost of resolving every message's route. DriveWallS
-	// is the wall-clock time driving the relayed traffic.
-	JoinWallS, RouteWallS, DriveWallS float64
-	// CommittedPerWallSec is committed exchanges over DriveWallS — the
-	// headline scheduler-throughput figure.
-	CommittedPerWallSec float64
 	// Sched snapshots the network's scheduler counters.
 	Sched aquago.SchedulerStats
 }
@@ -199,8 +185,8 @@ func (r ScaleResult) DeterministicKey() string {
 		r.TotalHops, r.MakespanS, r.Sched.Granted, r.Sched.Committed, r.Sched.AirtimeS)
 }
 
-// RunScalePoint builds the harbor and relays the cross-harbor
-// traffic, timing the build-out, the route resolution and the drive.
+// RunScalePoint builds the harbor, resolves every cross-harbor route,
+// then relays the transfers one at a time in arrival order.
 func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 	if err := p.Validate(); err != nil {
 		return ScaleResult{}, err
@@ -228,20 +214,15 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 		Pods:  p.PodsX * p.PodsY,
 		Msgs:  p.Msgs,
 	}
-
-	//aqualint:wallclock-ok JoinWallS is a benchmark record of real elapsed time (BENCH_exp.json); it never feeds simulation state
-	joinStart := time.Now()
 	for i, id := range ids {
 		if _, err := net.Join(id, positions[i], aquago.WithNodeClock(0)); err != nil {
 			return ScaleResult{}, fmt.Errorf("scale: join %d of %d: %w", i, len(ids), err)
 		}
 	}
-	res.JoinWallS = time.Since(joinStart).Seconds() //aqualint:wallclock-ok benchmark record, see joinStart
 
 	// Cross-harbor schedule: message m departs a random west-column
 	// pod member for a random east-column pod member, arriving on the
-	// virtual timeline at half-second spacing so the drive exercises
-	// admission rather than one long queue.
+	// virtual timeline at half-second spacing.
 	rng := rand.New(rand.NewSource(p.Seed*6521 + 9))
 	numMsgs := len(aquago.Codebook())
 	type scaleMsg struct {
@@ -249,11 +230,6 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 		src, dst      aquago.DeviceID
 		first, second uint8
 		path          []aquago.DeviceID
-		pathIdx       []int
-	}
-	idxOf := make(map[aquago.DeviceID]int, len(ids))
-	for i, id := range ids {
-		idxOf[id] = i
 	}
 	pickMember := func(px int) aquago.DeviceID {
 		py := rng.Intn(p.PodsY)
@@ -263,45 +239,24 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 	}
 	schedule := make([]scaleMsg, p.Msgs)
 	for m := range schedule {
-		schedule[m] = scaleMsg{
+		msg := scaleMsg{
 			atS:    float64(m) * 0.5,
 			src:    pickMember(0),
 			dst:    pickMember(p.PodsX - 1),
 			first:  uint8(rng.Intn(numMsgs)),
 			second: uint8(rng.Intn(numMsgs)),
 		}
+		if msg.path, err = net.Route(msg.src, msg.dst); err != nil {
+			return ScaleResult{}, fmt.Errorf("scale: route %d -> %d: %w", msg.src, msg.dst, err)
+		}
+		schedule[m] = msg
 	}
 
-	//aqualint:wallclock-ok RouteWallS is a benchmark record of real elapsed time; it never feeds simulation state
-	routeStart := time.Now()
-	for m := range schedule {
-		path, err := net.Route(schedule[m].src, schedule[m].dst)
-		if err != nil {
-			return ScaleResult{}, fmt.Errorf("scale: route %d -> %d: %w", schedule[m].src, schedule[m].dst, err)
-		}
-		schedule[m].path = path
-		idx := make([]int, len(path))
-		for i, id := range path {
-			idx[i] = idxOf[id]
-		}
-		schedule[m].pathIdx = idx
-	}
-	res.RouteWallS = time.Since(routeStart).Seconds() //aqualint:wallclock-ok benchmark record, see routeStart
-
-	// Drive: the deterministic strict-prefix batch driver — the
-	// longest leading run of transfers whose whole path footprints are
-	// mutually non-interfering runs as one concurrent batch, so
-	// arrival order is preserved globally and results are independent
-	// of worker count.
-	var accMu sync.Mutex
-	var firstErr error
 	ctx := context.Background()
-	runOne := func(m scaleMsg) {
+	for _, m := range schedule {
 		src, _ := net.Node(m.src)
 		src.AdvanceClock(m.atS)
 		rres, err := net.SendVia(ctx, m.path, m.first, m.second)
-		accMu.Lock()
-		defer accMu.Unlock()
 		switch {
 		case err == nil:
 			res.Delivered++
@@ -314,42 +269,10 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 		case errors.Is(err, aquago.ErrNoACK):
 			res.NoACKs++
 		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("scale: %d -> %d at %.2fs: %w", m.src, m.dst, m.atS, err)
-			}
+			return ScaleResult{}, fmt.Errorf("scale: %d -> %d at %.2fs: %w", m.src, m.dst, m.atS, err)
 		}
 	}
-	//aqualint:wallclock-ok DriveWallS / committed-exchanges-per-wall-second are the scale harness's gated benchmark metrics; they never feed simulation state
-	driveStart := time.Now()
-	for i := 0; i < len(schedule); {
-		j := i + 1
-	grow:
-		for ; j < len(schedule); j++ {
-			for k := i; k < j; k++ {
-				if pathsConflict(schedule[k].pathIdx, schedule[j].pathIdx, positions, p.CSRangeM) {
-					break grow
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		for _, m := range schedule[i:j] {
-			wg.Add(1)
-			go func(m scaleMsg) {
-				defer wg.Done()
-				runOne(m)
-			}(m)
-		}
-		wg.Wait()
-		i = j
-		if firstErr != nil {
-			return ScaleResult{}, firstErr
-		}
-	}
-	res.DriveWallS = time.Since(driveStart).Seconds() //aqualint:wallclock-ok benchmark record, see driveStart
 	res.Sched = net.SchedulerStats()
-	if res.DriveWallS > 0 {
-		res.CommittedPerWallSec = float64(res.Sched.Committed) / res.DriveWallS
-	}
 	return res, nil
 }
 
@@ -373,10 +296,8 @@ func defaultScaleSweep(quick bool) scaleSweep {
 	}}
 }
 
-// Scale is the harbor-scale harness: build-out, routing and scheduler
-// wall-clock cost versus node count, 250 to ~10k devices, with
-// committed-exchanges-per-wall-second as the headline
-// scheduler-throughput series (the bench diff gate watches it).
+// Scale is the harbor-scale harness: cross-harbor relay outcomes
+// versus node count, 250 to ~10k devices.
 func Scale(cfg RunConfig) (Report, error) {
 	cfg = cfg.withDefaults()
 	return scaleReport(cfg, defaultScaleSweep(cfg.Quick))
@@ -385,19 +306,16 @@ func Scale(cfg RunConfig) (Report, error) {
 func scaleReport(cfg RunConfig, sw scaleSweep) (Report, error) {
 	rep := Report{
 		ID:    "scale",
-		Title: "Harbor scale: build-out, routing and committed exchanges/s, 250 to 10k nodes",
+		Title: "Harbor scale: cross-harbor relay delivery, hops, makespan and committed exchanges, 250 to 10k nodes",
 	}
-	// Points run serially: each is internally parallel (the network's
-	// own scheduler pool), and wall-clock timings must not share cores
-	// with sibling points.
-	committed := Series{Name: "committed exchanges per wall-second vs nodes",
-		XLabel: "nodes", YLabel: "committed/s"}
-	join := Series{Name: "harbor build-out wall time vs nodes",
-		XLabel: "nodes", YLabel: "join s"}
-	route := Series{Name: "route resolution wall time vs nodes",
-		XLabel: "nodes", YLabel: "route s"}
-	edges := Series{Name: "scheduler conflict edges per grant vs nodes",
-		XLabel: "nodes", YLabel: "edges/grant"}
+	delivered := Series{Name: "delivered fraction vs nodes",
+		XLabel: "nodes", YLabel: "delivered"}
+	hops := Series{Name: "mean relay hops vs nodes",
+		XLabel: "nodes", YLabel: "hops"}
+	makespan := Series{Name: "makespan vs nodes",
+		XLabel: "nodes", YLabel: "virtual s"}
+	committed := Series{Name: "committed exchanges vs nodes",
+		XLabel: "nodes", YLabel: "exchanges"}
 	for i, pt := range sw.points {
 		pt.Seed = cfg.Seed + int64(i)*7151
 		pt.Retries = -1
@@ -406,48 +324,24 @@ func scaleReport(cfg RunConfig, sw scaleSweep) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		committed.X = append(committed.X, float64(r.Nodes))
-		committed.Y = append(committed.Y, r.CommittedPerWallSec)
-		join.X = append(join.X, float64(r.Nodes))
-		join.Y = append(join.Y, r.JoinWallS)
-		route.X = append(route.X, float64(r.Nodes))
-		route.Y = append(route.Y, r.RouteWallS)
-		perGrant := 0.0
-		if r.Sched.Granted > 0 {
-			perGrant = float64(r.Sched.ConflictEdges) / float64(r.Sched.Granted)
-		}
-		edges.X = append(edges.X, float64(r.Nodes))
-		edges.Y = append(edges.Y, perGrant)
 		meanHops := 0.0
 		if r.Delivered > 0 {
 			meanHops = float64(r.TotalHops) / float64(r.Delivered)
 		}
+		x := float64(r.Nodes)
+		delivered.X = append(delivered.X, x)
+		delivered.Y = append(delivered.Y, float64(r.Delivered)/float64(r.Msgs))
+		hops.X = append(hops.X, x)
+		hops.Y = append(hops.Y, meanHops)
+		makespan.X = append(makespan.X, x)
+		makespan.Y = append(makespan.Y, r.MakespanS)
+		committed.X = append(committed.X, x)
+		committed.Y = append(committed.Y, float64(r.Sched.Committed))
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"%d nodes (%d pods): join %.2f s, routes %.3f s, %d/%d relayed (mean %.1f hops, %d busy, %d no-ACK), %d exchanges committed at %.1f/s wall",
-			r.Nodes, r.Pods, r.JoinWallS, r.RouteWallS, r.Delivered, r.Msgs,
-			meanHops, r.BusyDrops, r.NoACKs, r.Sched.Committed, r.CommittedPerWallSec))
+			"%d nodes (%d pods): %d/%d relayed (mean %.1f hops, %d busy, %d no-ACK), last delivery at %.1f s, %d of %d granted exchanges committed",
+			r.Nodes, r.Pods, r.Delivered, r.Msgs, meanHops, r.BusyDrops, r.NoACKs,
+			r.MakespanS, r.Sched.Committed, r.Sched.Granted))
 	}
-	rep.Series = append(rep.Series, committed, join, route, edges)
+	rep.Series = append(rep.Series, delivered, hops, makespan, committed)
 	return rep, nil
-}
-
-// pathsConflict reports whether two relay paths (as node indices) may
-// interfere: they do when any node appears on both paths, or (finite
-// carrier-sense range) any cross-path node distance falls within it.
-// The rule over-approximates sched.go's per-hop rule for every hop
-// pair of the two walks, because every hop's endpoints are path nodes.
-// The scale drive keeps it until relayed traffic has a queued form
-// whose dispatch gate can overlap whole walks.
-func pathsConflict(a, b []int, pos []aquago.Position, csRangeM float64) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-			if csRangeM <= 0 || pos[x].DistanceTo(pos[y]) <= csRangeM {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -331,3 +331,19 @@ func BenchmarkViterbiDecode24Bits(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkViterbiDecode24BitsTailBiting times the decode the protocol
+// runs (internal/phy's codecs are tail-biting): the same 24 coded bits,
+// decoded over the wrapped trellis.
+func BenchmarkViterbiDecode24BitsTailBiting(b *testing.B) {
+	rng := rand.New(rand.NewSource(55))
+	c := NewCodec(Rate23, TailBiting)
+	coded := c.Encode(randBits(16, rng))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.DecodeHard(coded, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
