@@ -540,6 +540,9 @@ func runMobility(pt exp.MobilityPoint, envName string) {
 		res.DeliveredPackets, res.Packets, res.Attempts, res.Retries, res.Chunks)
 	fmt.Printf("motion      %d position epoch(s), %d route repair(s), route %d -> %d hops\n",
 		res.Epochs, res.Reroutes, res.InitialHops, res.FinalHops)
+	if res.Failed {
+		fmt.Printf("relay       failed after chunk %d; the totals cover what was delivered\n", res.Chunks)
+	}
 	fmt.Printf("end-to-end  %.2f s latency, %.2f bps goodput\n", res.LatencyS, res.GoodputBPS)
 }
 

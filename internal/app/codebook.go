@@ -338,16 +338,16 @@ var perCategoryTexts = [numCategories][MessagesPerCategory]string{
 
 // commonTexts are the twenty signals the app surfaces prominently.
 var commonTexts = map[string]bool{
-	"OK?":                     true,
-	"OK!":                     true,
-	"Something is wrong":      true,
-	"Help me":                 true,
-	"Emergency - surface now": true,
-	"Go up":                   true,
-	"Go down":                 true,
-	"Stop":                    true,
-	"Follow me":               true,
-	"This way":                true,
+	"OK?":                       true,
+	"OK!":                       true,
+	"Something is wrong":        true,
+	"Help me":                   true,
+	"Emergency - surface now":   true,
+	"Go up":                     true,
+	"Go down":                   true,
+	"Stop":                      true,
+	"Follow me":                 true,
+	"This way":                  true,
 	"How much air do you have?": true,
 	"Air low - 50 bar":          true,
 	"Out of air":                true,

@@ -25,9 +25,9 @@ func WriteWAV(w io.Writer, samples []float64, sampleRate int) error {
 	binary.LittleEndian.PutUint32(hdr[4:8], 36+dataLen)
 	copy(hdr[8:12], "WAVE")
 	copy(hdr[12:16], "fmt ")
-	binary.LittleEndian.PutUint32(hdr[16:20], 16)           // fmt chunk size
-	binary.LittleEndian.PutUint16(hdr[20:22], 1)            // PCM
-	binary.LittleEndian.PutUint16(hdr[22:24], 1)            // mono
+	binary.LittleEndian.PutUint32(hdr[16:20], 16) // fmt chunk size
+	binary.LittleEndian.PutUint16(hdr[20:22], 1)  // PCM
+	binary.LittleEndian.PutUint16(hdr[22:24], 1)  // mono
 	binary.LittleEndian.PutUint32(hdr[24:28], uint32(sampleRate))
 	binary.LittleEndian.PutUint32(hdr[28:32], uint32(sampleRate*2)) // byte rate
 	binary.LittleEndian.PutUint16(hdr[32:34], 2)                    // block align

@@ -88,7 +88,7 @@ func (d Device) responseTaps(sampleRate int, kind string, nTaps int) []float64 {
 	ripples := make([]ripple, 4)
 	for i := range ripples {
 		ripples[i] = ripple{
-			freq:  0.8 + 2.5*rng.Float64(),     // cycles per decade-ish
+			freq:  0.8 + 2.5*rng.Float64(), // cycles per decade-ish
 			phase: 2 * math.Pi * rng.Float64(),
 			amp:   d.RippleDB * (0.4 + 0.6*rng.Float64()) / 2,
 		}

@@ -33,15 +33,6 @@ func TestGoertzelDetectsTone(t *testing.T) {
 	}
 }
 
-func TestTonePowersOrder(t *testing.T) {
-	fs := 48000.0
-	x := Tone(1500, 0.02, fs)
-	p := TonePowers(x, []float64{1500, 2500, 3500}, fs)
-	if !(p[0] > p[1] && p[0] > p[2]) {
-		t.Fatalf("tone powers not dominated by transmitted tone: %v", p)
-	}
-}
-
 func TestChirpSweepsBand(t *testing.T) {
 	fs := 48000.0
 	c := Chirp(1000, 5000, 0.5, fs)
@@ -85,31 +76,6 @@ func TestResamplePreservesToneFrequency(t *testing.T) {
 	pOrig := GoertzelPower(y[:4000], 2000-10, fs)
 	if pWant < pOrig {
 		t.Fatalf("Doppler shift not visible: shifted %g original %g", pWant, pOrig)
-	}
-}
-
-func TestResampleSincBetterThanLinear(t *testing.T) {
-	fs := 48000.0
-	x := Tone(3900, 0.05, fs) // near the top of the modem band
-	factor := 1.001
-	ref := make([]float64, 0, len(x))
-	// Analytic resample of a pure tone for ground truth.
-	w := 2 * math.Pi * 3900 / fs
-	n := int(float64(len(x)-1)*factor) + 1
-	for i := 0; i < n; i++ {
-		ref = append(ref, math.Sin(w*float64(i)/factor))
-	}
-	lin := ResampleLinear(x, factor)
-	snc := ResampleSinc(x, factor, 12)
-	// Ignore sinc edge effects.
-	lo, hi := 100, n-100
-	var errLin, errSinc float64
-	for i := lo; i < hi; i++ {
-		errLin += (lin[i] - ref[i]) * (lin[i] - ref[i])
-		errSinc += (snc[i] - ref[i]) * (snc[i] - ref[i])
-	}
-	if errSinc >= errLin {
-		t.Fatalf("sinc interpolation (err %g) not better than linear (err %g)", errSinc, errLin)
 	}
 }
 

@@ -30,14 +30,3 @@ func Goertzel(x []float64, freqHz, sampleRate float64) complex128 {
 func GoertzelPower(x []float64, freqHz, sampleRate float64) float64 {
 	return CAbs2(Goertzel(x, freqHz, sampleRate))
 }
-
-// TonePowers evaluates GoertzelPower for each frequency in freqs,
-// reusing one pass over x per tone. Intended for small tone sets (FSK
-// demodulation, ID/ACK detection).
-func TonePowers(x []float64, freqs []float64, sampleRate float64) []float64 {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		out[i] = GoertzelPower(x, f, sampleRate)
-	}
-	return out
-}

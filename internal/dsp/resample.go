@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // ResampleLinear time-scales x by the given factor using linear
 // interpolation: output sample i is x evaluated at position i/factor.
 // factor > 1 stretches (slows down / Doppler away), factor < 1
@@ -28,45 +26,4 @@ func ResampleLinear(x []float64, factor float64) []float64 {
 		out[i] = x[j]*(1-frac) + x[j+1]*frac
 	}
 	return out
-}
-
-// ResampleSinc time-scales x by factor using a Hann-windowed sinc
-// interpolator with the given number of taps per side (8-16 is
-// typical). Higher quality than ResampleLinear at the cost of
-// taps*2 multiplies per output sample.
-func ResampleSinc(x []float64, factor float64, taps int) []float64 {
-	if len(x) == 0 || factor <= 0 {
-		return nil
-	}
-	if taps < 1 {
-		taps = 8
-	}
-	n := int(float64(len(x)-1)*factor) + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pos := float64(i) / factor
-		center := int(math.Floor(pos))
-		var acc, wsum float64
-		for k := center - taps + 1; k <= center+taps; k++ {
-			if k < 0 || k >= len(x) {
-				continue
-			}
-			d := pos - float64(k)
-			w := sinc(d) * hannAt(d, float64(taps))
-			acc += x[k] * w
-			wsum += w
-		}
-		if wsum != 0 {
-			out[i] = acc / wsum
-		}
-	}
-	return out
-}
-
-// hannAt is the Hann window evaluated at offset d in [-taps, taps].
-func hannAt(d, taps float64) float64 {
-	if d < -taps || d > taps {
-		return 0
-	}
-	return 0.5 + 0.5*math.Cos(math.Pi*d/taps)
 }

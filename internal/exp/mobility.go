@@ -2,9 +2,11 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"aquago"
 )
@@ -149,19 +151,23 @@ type MobilityResult struct {
 	// Epochs is how many position epochs the network applied
 	// (Network.MotionEpochs after the transfer).
 	Epochs uint64
-	// LatencyS spans the first chunk's start to the last chunk's
-	// final sample at the destination; GoodputBPS the delivered
-	// payload bits over it.
+	// LatencyS spans the first chunk's start to the last delivered
+	// packet's final sample at the destination; GoodputBPS the
+	// delivered payload bits over it.
 	LatencyS, GoodputBPS float64
+	// Failed marks a transfer a relay hop killed (its retry budget
+	// spent, or no route left): the point stopped at that chunk and
+	// reports what was delivered before it.
+	Failed bool
 }
 
 // DeterministicKey digests the worker-count-independent fields; runs
 // of the same point must produce equal keys for any Workers value.
 func (r MobilityResult) DeterministicKey() string {
-	return fmt.Sprintf("hops=%d->%d chunks=%d pkts=%d/%d bytes=%d attempts=%d retries=%d reroutes=%d epochs=%d latency=%.9f goodput=%.9f",
+	return fmt.Sprintf("hops=%d->%d chunks=%d pkts=%d/%d bytes=%d attempts=%d retries=%d reroutes=%d epochs=%d latency=%.9f goodput=%.9f failed=%t",
 		r.InitialHops, r.FinalHops, r.Chunks, r.DeliveredPackets, r.Packets,
 		r.DeliveredBytes, r.Attempts, r.Retries, r.Reroutes, r.Epochs,
-		r.LatencyS, r.GoodputBPS)
+		r.LatencyS, r.GoodputBPS, r.Failed)
 }
 
 // samePath reports whether two relay paths are identical.
@@ -178,7 +184,9 @@ func samePath(a, b []aquago.DeviceID) bool {
 }
 
 // RunMobilityPoint drifts the diver down the relay line while bulk
-// transferring, and measures what the motion cost.
+// transferring, and measures what the motion cost. A relay failure is
+// an outcome, not an error: the result is marked Failed and covers the
+// chunks up to and including the one that died.
 func RunMobilityPoint(p MobilityPoint) (MobilityResult, error) {
 	if err := p.Validate(); err != nil {
 		return MobilityResult{}, err
@@ -268,14 +276,21 @@ func RunMobilityPoint(p MobilityPoint) (MobilityResult, error) {
 		res.Attempts += out.Attempts
 		res.Retries += out.Retries
 		res.Reroutes += out.Reroutes
-		if err != nil {
+		var relayErr *aquago.RelayError
+		if err != nil && !errors.As(err, &relayErr) {
 			return res, fmt.Errorf("mobility: chunk at byte %d: %w", off, err)
 		}
 		if res.Chunks == 1 {
 			startS = out.StartS
 		}
-		endS = out.EndS
+		if out.DeliveredPackets > 0 {
+			endS = out.EndS
+		}
 		path = out.Path
+		if err != nil {
+			res.Failed = true
+			break
+		}
 		// One position epoch per chunk boundary: the diver is wherever
 		// its track says it is when the chunk's last sample landed.
 		if _, err := net.AdvanceMotion(endS); err != nil {
@@ -371,6 +386,7 @@ func mobilityReport(cfg RunConfig, sw mobilitySweep) (Report, error) {
 			XLabel: "drift m/s", YLabel: "reroutes"}
 		var static, fastest MobilityResult
 		var fastestV float64
+		var failed []string
 		for i, c := range coords {
 			if c.pipelined != pipe {
 				continue
@@ -386,13 +402,20 @@ func mobilityReport(cfg RunConfig, sw mobilitySweep) (Report, error) {
 			if c.speed >= fastestV {
 				fastestV, fastest = c.speed, r
 			}
+			if r.Failed {
+				failed = append(failed, fmt.Sprintf("%g m/s (%d/%d pkts)", c.speed, r.DeliveredPackets, r.Packets))
+			}
 		}
 		rep.Series = append(rep.Series, good, repairs)
-		rep.Notes = append(rep.Notes, fmt.Sprintf(
+		note := fmt.Sprintf(
 			"%s (%d B over %d hops): static %.1f bps -> %.2g m/s %.1f bps, %d route repair(s) over %d epoch(s), route %d -> %d hops",
 			label, sw.payloadBytes, sw.hops, static.GoodputBPS,
 			fastestV, fastest.GoodputBPS, fastest.Reroutes, fastest.Epochs,
-			fastest.InitialHops, fastest.FinalHops))
+			fastest.InitialHops, fastest.FinalHops)
+		if len(failed) > 0 {
+			note += "; relay failed at " + strings.Join(failed, ", ")
+		}
+		rep.Notes = append(rep.Notes, note)
 	}
 	return rep, nil
 }

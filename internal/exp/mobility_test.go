@@ -87,6 +87,34 @@ func TestMobilityDriftingDiverReroutes(t *testing.T) {
 	}
 }
 
+// TestMobilityRelayFailureIsAnOutcome: the full-size sweep's
+// sequential 0.5 m/s point loses hop 0->1 of its 6-hop path after the
+// retry budget is spent. The point reports that as a Failed outcome
+// over the delivered prefix instead of an error that would abort the
+// whole experiment.
+func TestMobilityRelayFailureIsAnOutcome(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-chunk relay transfer in -short mode")
+	}
+	res, err := RunMobilityPoint(MobilityPoint{
+		Hops:         6,
+		PayloadBytes: 48,
+		ChunkBytes:   4,
+		DriftSpeedMS: 0.5,
+		Seed:         1 + 2*5407, // the full-size sweep's seed for this point
+		Retries:      -1,
+	})
+	if err != nil {
+		t.Fatalf("relay failure surfaced as an error: %v", err)
+	}
+	if !res.Failed || res.DeliveredPackets >= res.Packets {
+		t.Fatalf("want a failed point with a partial delivery, got %+v", res)
+	}
+	if res.DeliveredBytes > 0 && !(res.LatencyS > 0 && res.GoodputBPS > 0) {
+		t.Fatalf("delivered %d bytes but no goodput window: %+v", res.DeliveredBytes, res)
+	}
+}
+
 // TestMobilityDeterminismAcrossWorkers pins the drifting-diver
 // transfer — motion epochs, route repairs and all — as worker-count
 // invariant, for both the sequential and the pipelined relay (the CI

@@ -11,12 +11,12 @@ import (
 
 // linkSpec describes one measurement configuration.
 type linkSpec struct {
-	env       channel.Environment
-	distanceM float64
-	depthM    float64 // both devices; 0 -> 1 m (the paper's rig)
-	motion    channel.Motion
-	orientDeg float64
-	casing    channel.Casing
+	env          channel.Environment
+	distanceM    float64
+	depthM       float64 // both devices; 0 -> 1 m (the paper's rig)
+	motion       channel.Motion
+	orientDeg    float64
+	casing       channel.Casing
 	spacingHz    int // 0 -> 50
 	fixedBand    *modem.Band
 	dataOpts     modem.DataOptions
@@ -175,9 +175,9 @@ func newMedium(spec linkSpec, seed int64) (*phy.ChannelMedium, error) {
 func fixedBands(cfg modem.Config) []modem.Band {
 	nb := cfg.NumBins()
 	return []modem.Band{
-		{Lo: 0, Hi: nb - 1},     // 3 kHz wide
-		{Lo: 0, Hi: nb/2 - 1},   // 1.5 kHz wide
-		{Lo: 0, Hi: nb/6 - 1},   // 0.5 kHz wide
+		{Lo: 0, Hi: nb - 1},   // 3 kHz wide
+		{Lo: 0, Hi: nb/2 - 1}, // 1.5 kHz wide
+		{Lo: 0, Hi: nb/6 - 1}, // 0.5 kHz wide
 	}
 }
 

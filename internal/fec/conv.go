@@ -158,7 +158,7 @@ func (c *Codec) tailBitingState(bits []int) uint8 {
 	var state uint8
 	// State bit layout: newest previous bit at bit 5 (see build).
 	for i := 1; i <= ConstraintLength-1; i++ {
-		idx := ((n - i) % n + n) % n
+		idx := ((n-i)%n + n) % n
 		if bits[idx] == 1 {
 			state |= 1 << uint(ConstraintLength-1-i)
 		}

@@ -34,13 +34,13 @@ const (
 // use DefaultConfig or fill all fields. SampleRate must be divisible
 // by SpacingHz.
 type Config struct {
-	SampleRate int     // samples per second (48000)
-	SpacingHz  int     // subcarrier spacing in Hz (50, 25 or 10)
-	BandLowHz  int     // lowest data subcarrier frequency (1000)
-	BandHighHz int     // highest data subcarrier frequency (4000)
-	CPLen      int     // cyclic prefix samples; 0 picks the paper's 6.98 %
-	ZCRoot     int     // Zadoff-Chu root for the preamble (default 1)
-	TrainRoot  int     // Zadoff-Chu root for the training symbol (default 7)
+	SampleRate int // samples per second (48000)
+	SpacingHz  int // subcarrier spacing in Hz (50, 25 or 10)
+	BandLowHz  int // lowest data subcarrier frequency (1000)
+	BandHighHz int // highest data subcarrier frequency (4000)
+	CPLen      int // cyclic prefix samples; 0 picks the paper's 6.98 %
+	ZCRoot     int // Zadoff-Chu root for the preamble (default 1)
+	TrainRoot  int // Zadoff-Chu root for the training symbol (default 7)
 }
 
 // DefaultConfig returns the paper's configuration.

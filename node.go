@@ -266,7 +266,7 @@ func (n *Network) peerLocked(nd *Node, dst DeviceID) (*Node, error) {
 // the network's access deadline; errors.As a *ChannelBusyError for
 // the busy-until time), ErrNoACK (all attempts went unacknowledged;
 // the returned SendResult still describes them), or ctx's error when
-// cancelled between attempts.
+// cancelled between attempts. A nil ctx means context.Background().
 func (nd *Node) Send(ctx context.Context, dst DeviceID, msgs ...uint8) (SendResult, error) {
 	if len(msgs) < 1 || len(msgs) > 2 {
 		return SendResult{}, fmt.Errorf("%w: send carries 1 or 2 messages, got %d", ErrBadMessage, len(msgs))
@@ -287,8 +287,12 @@ func (nd *Node) Send(ctx context.Context, dst DeviceID, msgs ...uint8) (SendResu
 // packet's possession instant), raw (when non-nil) substitutes an
 // arbitrary 16-bit payload for the codebook pair, and endS reports
 // when the final on-air attempt left the air (the instant a
-// store-and-forward relay can possess the payload).
+// store-and-forward relay can possess the payload). A nil ctx means
+// context.Background().
 func (nd *Node) sendWith(ctx context.Context, dst DeviceID, rc relayCtx, notBeforeS float64, raw *[2]byte, first, second uint8) (_ SendResult, endS float64, _ error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	// One radio per device: a node's own Sends are serial; the
 	// conflict-graph scheduler (sched.go) orders it against the rest
 	// of the network.

@@ -9,14 +9,20 @@ import (
 
 // This file is the store-and-forward relay layer over routing
 // (route.go): walking a path hop by hop on the shared virtual
-// timeline. Every hop is a full carrier-sense Send — the relay
+// timeline. Every hop is a full carrier-sense exchange — the relay
 // contends for the channel through the conflict-graph scheduler like
 // any other transmitter, and its forward cannot start before the
 // packet physically reached it (the previous hop's last attempt left
-// the air, plus a turnaround). Bulk transfer chunks an arbitrary
-// payload into the protocol's 16-bit packets; every packet of every
-// hop runs the full adaptive exchange, so the band re-adapts
-// per packet as the channel evolves — the AquaScope-style workload.
+// the air, plus a turnaround). SendVia walks its path with blocking
+// sends. Bulk transfer chunks an arbitrary payload into the protocol's
+// 16-bit packets and runs on one engine, bulkPipeline: every hop of
+// every packet is a TxBulk job on the sending relay's transmit queue
+// (txq.go), forwarded by a completion continuation. SendBulkVia keeps
+// one packet in flight and maintains its route under motion;
+// SendBulkViaPipelined keeps two and overlaps them on non-interfering
+// hops. Every packet of every hop runs the full adaptive exchange, so
+// the band re-adapts per packet as the channel evolves — the
+// AquaScope-style workload.
 
 // relayTurnaroundS is a relay's store-and-forward processing pause:
 // the gap between hearing a packet's last sample and being ready to
@@ -37,7 +43,8 @@ type RelayResult struct {
 	DeliveredS float64
 }
 
-// BulkResult reports a bulk payload transfer (SendBulk, SendBulkVia).
+// BulkResult reports a bulk payload transfer (SendBulk, SendBulkVia
+// and their pipelined forms).
 type BulkResult struct {
 	// Path is the relay path as last walked: under motion (position
 	// epochs) SendBulkVia re-routes mid-transfer when its next hop goes
@@ -45,8 +52,9 @@ type BulkResult struct {
 	// the transfer started on.
 	Path []DeviceID
 	// Packets is how many 2-byte protocol packets the payload split
-	// into; DeliveredPackets how many arrived end-to-end (a failed
-	// transfer stops at the first undeliverable packet).
+	// into; DeliveredPackets how many arrived end-to-end as a
+	// contiguous prefix (a failed transfer stops counting at the first
+	// undeliverable packet).
 	Packets, DeliveredPackets int
 	// DeliveredBytes counts payload bytes that reached the
 	// destination; Received holds them, hop-conserved by
@@ -58,7 +66,7 @@ type BulkResult struct {
 	// Attempts totals physical transmission attempts across all
 	// packets and hops, the link layer's own retries included.
 	Attempts int
-	// Retries counts relay-layer retransmissions: hop sends re-issued
+	// Retries counts relay-layer retransmissions: hop jobs re-queued
 	// after a transient failure (lost ACK, busy channel) under the
 	// network's bulk retry budget (WithBulkRetries). Zero on a
 	// transfer that never lost a packet.
@@ -172,7 +180,8 @@ func bulkRetryFloorS(nd *Node, endS float64, ferr error, try int) float64 {
 // a *RelayError naming the hop, wrapping the hop's own error
 // (ErrNoACK, ErrChannelBusy, a cancelled context, ...); the returned
 // RelayResult still describes the hops that ran. Use Route to compute
-// a path, or Node.SendBulk for the automatic bulk flavor.
+// a path, or Node.SendBulk for the automatic bulk flavor. A nil ctx
+// means context.Background().
 func (n *Network) SendVia(ctx context.Context, path []DeviceID, msgs ...uint8) (RelayResult, error) {
 	if len(msgs) < 1 || len(msgs) > 2 {
 		return RelayResult{}, fmt.Errorf("%w: send carries 1 or 2 messages, got %d", ErrBadMessage, len(msgs))
@@ -209,39 +218,170 @@ func (n *Network) SendVia(ctx context.Context, path []DeviceID, msgs ...uint8) (
 }
 
 // SendBulkVia transfers an arbitrary payload along an explicit relay
-// path: the payload chunks into 2-byte protocol packets, and each
-// packet store-and-forwards down the path — every hop a full adaptive
-// exchange (fresh SNR estimate, fresh band), so the transfer
-// re-adapts per packet and per hop. A relay forwards a packet only
-// once its own receiver decoded it bit-exactly, so payload bytes are
-// conserved hop to hop. Stage events carry both the hop and the
-// packet context (StageEvent.BulkPkt/BulkPkts).
+// path, one packet in flight: the payload chunks into 2-byte protocol
+// packets, and each packet store-and-forwards down the path before the
+// next one leaves the source — every hop a full adaptive exchange
+// (fresh SNR estimate, fresh band), so the transfer re-adapts per
+// packet and per hop. A relay forwards a packet only once its own
+// receiver decoded it bit-exactly, so payload bytes are conserved hop
+// to hop. Stage events carry both the hop and the packet context
+// (StageEvent.BulkPkt/BulkPkts).
+//
+// Every hop is a TxBulk job on the sending relay's transmit queue (the
+// engine SendBulkViaPipelined runs with a wider window), so the
+// transfer's hops appear on Deliveries, carry StageEvent.TxID, yield to
+// queued TxNormal traffic at each hop, and a full source queue fails
+// the transfer with a *RelayError wrapping ErrQueueFull. A forward's
+// job is floored at the instant the packet reached the relay plus a
+// turnaround (TxJob.NotBeforeS).
 //
 // A hop send that fails transiently — every attempt unACKed and
 // undecoded, or the MAC never granting the channel — is retransmitted
 // up to the network's bulk retry budget (WithBulkRetries, default
-// DefaultBulkRetries), each retry re-entering the MAC after an
-// exponentially backed virtual-clock floor; BulkResult.Retries counts
-// them. Only an exhausted budget (or a non-transient failure: context
-// cancelled, node left) kills the transfer.
+// DefaultBulkRetries), each retry re-entering the relay's queue after
+// an exponentially backed virtual-clock floor; BulkResult.Retries
+// counts them. Only an exhausted budget (or a non-transient failure:
+// context cancelled, node left) kills the transfer.
 //
 // Under motion the transfer maintains its own route: before each hop
-// send (and each retry), if a position epoch has moved the next node
+// job (and each retry), if a position epoch has moved the next node
 // out of earshot of the packet's holder — or the next node departed —
 // the remainder of the path is replaced by a fresh routed path from
 // the holder to the destination (BulkResult.Reroutes counts these;
 // Path reports the path as last walked). A spliced path may revisit an
 // earlier node — physically honest store-and-forward when geometry
 // shifted under the transfer. On a static network no epoch has
-// occurred and no check runs, byte-identically to the pre-motion
-// behavior. A repair that finds no route (ErrNoRoute) or a departed
-// destination (ErrNodeLeft) kills the transfer like any hop failure.
+// occurred and no check runs. A repair that finds no route
+// (ErrNoRoute) or a departed destination (ErrNodeLeft) kills the
+// transfer like any hop failure.
 //
 // Odd-length payloads pad the final packet on the air; the pad byte
 // never reaches Received. Errors follow SendVia's contract, with
 // RelayError.Pkt naming the packet the path died on; the BulkResult
-// reports everything delivered before that.
+// reports everything delivered before that. A nil ctx means
+// context.Background().
 func (n *Network) SendBulkVia(ctx context.Context, path []DeviceID, payload []byte) (BulkResult, error) {
+	return n.sendBulk(ctx, path, payload, 1)
+}
+
+// SendBulk transfers an arbitrary payload to dst over the network's
+// routed relay path (Route under the WithRouting policy; the direct
+// single hop when dst is audible and the policy favors it). See
+// SendBulkVia for the transfer semantics and error contract; routing
+// failures additionally wrap ErrNoRoute.
+func (nd *Node) SendBulk(ctx context.Context, dst DeviceID, payload []byte) (BulkResult, error) {
+	path, err := nd.net.Route(nd.id, dst)
+	if err != nil {
+		return BulkResult{}, err
+	}
+	return nd.net.SendBulkVia(ctx, path, payload)
+}
+
+// pipelineWindow is how many packets SendBulkViaPipelined keeps
+// admitted ahead: two keeps the source daemon busy across a completion
+// boundary while bounding every queue on the path to O(window) jobs.
+const pipelineWindow = 2
+
+// SendBulkViaPipelined is SendBulkVia with packets overlapping on the
+// path: a packet is admitted at the source as soon as its predecessor
+// clears hop 0, so packet p+1 crosses earlier hops while packet p
+// crosses later ones, and non-interfering hops genuinely overlap on
+// the air (on a long line, hops three apart clear each other's
+// carrier-sense range). The per-hop semantics — possession criterion,
+// byte conservation, band re-adaptation per packet and hop, turnaround
+// before forwarding, TxBulk priority, the retry budget — are
+// SendBulkVia's, and on paths where every hop interferes the result
+// converges to the one-packet transfer's.
+//
+// A hop whose budget runs out stops admission, withdraws the failed
+// packet's successors, lets already-ahead packets finish, and returns
+// a *RelayError naming the first failed packet and hop; Received then
+// holds the contiguous delivered prefix — a packet that was already
+// past the failed hop, or even delivered end-to-end behind the
+// failure, never counts as delivered payload. Cancelling ctx aborts
+// the transfer the same way.
+//
+// Unlike SendBulkVia, the pipelined transfer's path is fixed at
+// launch: packets at different hops would otherwise disagree about
+// the path, and a splice racing in-flight jobs would break the
+// deterministic dispatch order. Under motion, re-route between
+// pipelined transfers (Route reflects each position epoch); a hop
+// whose geometry walked away mid-transfer fails through the normal
+// retry budget.
+func (n *Network) SendBulkViaPipelined(ctx context.Context, path []DeviceID, payload []byte) (BulkResult, error) {
+	return n.sendBulk(ctx, path, payload, pipelineWindow)
+}
+
+// SendBulkPipelined is SendBulk through the pipelined transfer: route
+// to dst, then SendBulkViaPipelined along the path.
+func (nd *Node) SendBulkPipelined(ctx context.Context, dst DeviceID, payload []byte) (BulkResult, error) {
+	path, err := nd.net.Route(nd.id, dst)
+	if err != nil {
+		return BulkResult{}, err
+	}
+	return nd.net.SendBulkViaPipelined(ctx, path, payload)
+}
+
+// bulkPipeline coordinates one bulk transfer: every hop of every
+// packet is a queued job, and each completion's continuation
+// (txJob.after, under the queue lock) forwards the packet to the next
+// hop and admits the next packet at the source. With a window of one
+// the next packet waits for its predecessor's delivery; wider windows
+// overlap packets wherever hops do not interfere, while the dispatch
+// gate keeps interfering hops in deterministic (priority, seq) order.
+type bulkPipeline struct {
+	n       *Network
+	ctx     context.Context
+	nodes   []*Node
+	path    []DeviceID
+	payload []byte
+	hops    int
+	// window is how many packets may be in flight: 1 for SendBulkVia
+	// (which alone maintains its route under motion), pipelineWindow
+	// for SendBulkViaPipelined.
+	window int
+
+	out BulkResult
+	// nextPkt is the next packet index to admit at hop 0; admission is
+	// windowed so the source queue holds at most the window regardless
+	// of payload size.
+	nextPkt int
+	// outstanding counts packets not yet terminal (delivered, failed,
+	// or abandoned); done closes when it reaches zero.
+	outstanding int
+	done        chan struct{}
+	finished    bool
+	// active maps packet index -> its current hop's handle.
+	active map[int]*TxHandle
+	// hopTries counts a packet's retransmissions on its *current* hop
+	// (cleared when the packet advances); pkts records each packet's
+	// end-to-end outcome for the contiguous-prefix finalize.
+	hopTries map[int]int
+	pkts     []bulkPktRecord
+
+	failed           bool
+	cancelling       bool
+	failPkt, failHop int
+	failErr          error
+}
+
+// bulkPktRecord is one packet's end-to-end outcome. Deliveries are
+// recorded here rather than appended to Received directly: packets
+// complete in packet order on the final hop, but a failure recorded at
+// a low packet index must not let a higher packet that was already
+// past the failed hop count as delivered payload — the finalize walks
+// the records and keeps only the contiguous delivered prefix.
+type bulkPktRecord struct {
+	delivered bool
+	chunk     [2]byte
+	padded    bool
+	band      Band
+	endS      float64
+}
+
+// sendBulk runs one bulk transfer with up to window packets in flight
+// and blocks until it drains.
+func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte, window int) (BulkResult, error) {
 	nodes, err := n.resolvePath(path)
 	if err != nil {
 		return BulkResult{}, err
@@ -249,84 +389,107 @@ func (n *Network) SendBulkVia(ctx context.Context, path []DeviceID, payload []by
 	if len(payload) == 0 {
 		return BulkResult{}, fmt.Errorf("%w: empty bulk payload", ErrBadMessage)
 	}
-	out := BulkResult{
-		Path:    append([]DeviceID(nil), path...),
+	tr := &bulkPipeline{
+		n: n, ctx: ctx, nodes: nodes,
+		path: append([]DeviceID(nil), path...), payload: payload,
+		hops:     len(path) - 1,
+		window:   window,
+		done:     make(chan struct{}),
+		active:   make(map[int]*TxHandle),
+		hopTries: make(map[int]int),
+	}
+	tr.out = BulkResult{
+		Path:    tr.path,
 		Packets: (len(payload) + 1) / 2,
 		StartS:  nodes[0].ClockS(),
 	}
-	for p := 0; p < out.Packets; p++ {
-		chunk := [2]byte{payload[2*p], 0}
-		padded := 2*p+2 > len(payload) // odd tail: second byte is padding
-		if !padded {
-			chunk[1] = payload[2*p+1]
-		}
-		// Motion can re-route mid-transfer, so the path (and hop count)
-		// may change between — and within — hops; the loop bounds re-read
-		// it each iteration.
-		for h := 0; h < len(nodes)-1; h++ {
-			var (
-				res  SendResult
-				endS float64
-			)
-			floor := 0.0
-			for try := 0; ; try++ {
-				// Route maintenance under motion: if a position epoch has
-				// moved the next hop out of earshot (or it departed), splice
-				// a fresh routed path to the destination before — or instead
-				// of — burning the retry budget on an unreachable hop.
-				spliced, changed, rerr := n.rerouteBulkHop(nodes, h)
-				if rerr != nil {
-					return out, &RelayError{Hop: h, From: path[h], To: path[h+1], Path: out.Path, Pkt: p, Err: rerr}
-				}
-				if changed {
-					nodes = spliced
-					path = make([]DeviceID, len(nodes))
-					for i, nd := range nodes {
-						path[i] = nd.id
-					}
-					out.Path = append([]DeviceID(nil), path...)
-					out.Reroutes++
-				}
-				rc := relayCtx{hop: h, pathHops: len(nodes) - 1, bulkPkt: p, bulkPkts: out.Packets}
-				var err error
-				res, endS, err = nodes[h].sendWith(ctx, path[h+1], rc, floor, &chunk, 0, 0)
-				out.Attempts += res.Attempts
-				ferr := hopFailed(res, err)
-				if ferr == nil {
-					break
-				}
-				// Lost ACKs and busy channels are transient: retransmit
-				// under the budget, backing off on the virtual clock so
-				// the retry re-contends instead of hammering the channel.
-				if !streamRetryable(ferr) || try >= n.cfg.bulkRetries {
-					return out, &RelayError{Hop: h, From: path[h], To: path[h+1], Path: out.Path, Pkt: p, Err: ferr}
-				}
-				out.Retries++
-				floor = bulkRetryFloorS(nodes[h], endS, ferr, try)
-			}
-			// The relay now possesses the chunk byte-exactly: a hop only
-			// continues when some attempt *delivered*, and Delivered is
-			// defined as a zero-bit-error decode (phy.Result), so
-			// conservation holds hop to hop by construction. Each
-			// attempt's raw decode — dirty ones included — is available
-			// for audit on Result.Decoded.
-			if h+1 < len(nodes)-1 {
-				nodes[h+1].AdvanceClock(endS + relayTurnaroundS)
-			} else {
-				out.EndS = endS
-				out.Bands = append(out.Bands, res.Last.Band)
-				out.PacketEndS = append(out.PacketEndS, endS)
-			}
-		}
-		out.DeliveredPackets++
-		out.Received = append(out.Received, chunk[0])
-		out.DeliveredBytes++
-		if !padded {
-			out.Received = append(out.Received, chunk[1])
-			out.DeliveredBytes++
+	tr.pkts = make([]bulkPktRecord, tr.out.Packets)
+	tr.outstanding = tr.out.Packets
+	n.tx.mu.Lock()
+	for i := 0; i < min(window, n.cfg.txQueueCap) && !tr.failed; i++ {
+		tr.admitLocked()
+	}
+	n.txEvaluateLocked()
+	tr.finishIfDoneLocked()
+	n.tx.mu.Unlock()
+	// Every admitted job carries ctx, and failures stop admission, so
+	// the transfer always drains: no select on ctx needed here.
+	<-tr.done
+	tr.finalize()
+	if tr.failed {
+		return tr.out, &RelayError{
+			Hop: tr.failHop, From: tr.path[tr.failHop], To: tr.path[tr.failHop+1],
+			Path: tr.out.Path, Pkt: tr.failPkt, Err: tr.failErr,
 		}
 	}
-	return out, nil
+	return tr.out, nil
+}
+
+// chunk extracts packet p's 2-byte payload chunk and whether its
+// second byte is padding.
+func (tr *bulkPipeline) chunk(p int) (chunk [2]byte, padded bool) {
+	chunk[0] = tr.payload[2*p]
+	padded = 2*p+2 > len(tr.payload)
+	if !padded {
+		chunk[1] = tr.payload[2*p+1]
+	}
+	return chunk, padded
+}
+
+// admitLocked enqueues the next packet's hop-0 job (tx.mu held).
+func (tr *bulkPipeline) admitLocked() {
+	if tr.nextPkt >= tr.out.Packets || tr.failed {
+		return
+	}
+	p := tr.nextPkt
+	tr.nextPkt++
+	tr.enqueueHopLocked(0, p, 0)
+}
+
+// enqueueHopLocked queues packet p's hop job with the given ready
+// floor, after route maintenance; a failed repair or an enqueue
+// rejection (queue full, node left) is a hop failure (tx.mu held).
+func (tr *bulkPipeline) enqueueHopLocked(hop, p int, notBeforeS float64) {
+	err := tr.rerouteLocked(hop)
+	var h *TxHandle
+	if err == nil {
+		chunk, padded := tr.chunk(p)
+		raw := chunk
+		rc := relayCtx{hop: hop, pathHops: tr.hops, bulkPkt: p, bulkPkts: tr.out.Packets}
+		h, err = tr.n.txEnqueueLocked(
+			tr.nodes[hop], tr.nodes[hop+1], TxBulk, notBeforeS, &raw, 0, 0,
+			rc, tr.ctx, nil, tr.hopDone(hop, p, chunk, padded))
+	}
+	if err != nil {
+		tr.outstanding--
+		tr.recordFailureLocked(p, hop, err)
+		tr.finishIfDoneLocked()
+		return
+	}
+	tr.active[p] = h
+}
+
+// rerouteLocked is the one-packet transfer's route maintenance,
+// run before every hop job and retry: rerouteBulkHop's splice becomes
+// the transfer's path. Safe only with one packet in flight, so wider
+// windows keep their launch path (tx.mu held).
+func (tr *bulkPipeline) rerouteLocked(hop int) error {
+	if tr.window > 1 {
+		return nil
+	}
+	spliced, changed, err := tr.n.rerouteBulkHop(tr.nodes, hop)
+	if err != nil || !changed {
+		return err
+	}
+	tr.nodes = spliced
+	tr.hops = len(spliced) - 1
+	tr.path = make([]DeviceID, len(spliced))
+	for i, nd := range spliced {
+		tr.path[i] = nd.id
+	}
+	tr.out.Path = tr.path
+	tr.out.Reroutes++
+	return nil
 }
 
 // rerouteBulkHop is the relay layer's route maintenance under motion:
@@ -366,207 +529,6 @@ func (n *Network) rerouteBulkHop(nodes []*Node, h int) ([]*Node, bool, error) {
 	return spliced, true, nil
 }
 
-// SendBulk transfers an arbitrary payload to dst over the network's
-// routed relay path (Route under the WithRouting policy; the direct
-// single hop when dst is audible and the policy favors it). See
-// SendBulkVia for the transfer semantics and error contract; routing
-// failures additionally wrap ErrNoRoute.
-func (nd *Node) SendBulk(ctx context.Context, dst DeviceID, payload []byte) (BulkResult, error) {
-	path, err := nd.net.Route(nd.id, dst)
-	if err != nil {
-		return BulkResult{}, err
-	}
-	return nd.net.SendBulkVia(ctx, path, payload)
-}
-
-// bulkPipeline coordinates one pipelined bulk transfer: every hop of
-// every packet is a queued job, and each completion's continuation
-// (txJob.after, under the queue lock) forwards the packet to the next
-// hop and admits the next packet at the source. Packets therefore
-// overlap wherever hops do not interfere, while the dispatch gate
-// keeps interfering hops in deterministic (priority, seq) order.
-type bulkPipeline struct {
-	n       *Network
-	ctx     context.Context
-	nodes   []*Node
-	path    []DeviceID
-	payload []byte
-	hops    int
-
-	out BulkResult
-	// nextPkt is the next packet index to admit at hop 0; admission is
-	// windowed (each hop-0 completion admits one more) so the source
-	// queue holds at most the window regardless of payload size.
-	nextPkt int
-	// outstanding counts packets not yet terminal (delivered, failed,
-	// or abandoned); done closes when it reaches zero.
-	outstanding int
-	done        chan struct{}
-	finished    bool
-	// active maps packet index -> its current hop's handle.
-	active map[int]*TxHandle
-	// hopTries counts a packet's retransmissions on its *current* hop
-	// (cleared when the packet advances); pkts records each packet's
-	// end-to-end outcome for the contiguous-prefix finalize.
-	hopTries map[int]int
-	pkts     []bulkPktRecord
-
-	failed           bool
-	cancelling       bool
-	failPkt, failHop int
-	failErr          error
-}
-
-// bulkPktRecord is one packet's end-to-end outcome in a pipelined
-// transfer. Deliveries are recorded here rather than appended to
-// Received directly: packets complete in packet order on the final
-// hop, but a failure recorded at a low packet index must not let a
-// higher packet that was already past the failed hop count as
-// delivered payload — the finalize walks the records and keeps only
-// the contiguous delivered prefix.
-type bulkPktRecord struct {
-	delivered bool
-	chunk     [2]byte
-	padded    bool
-	band      Band
-	endS      float64
-}
-
-// pipelineWindow is how many packets the source keeps admitted ahead:
-// two keeps the source daemon busy across a completion boundary while
-// bounding every queue on the path to O(window) jobs.
-const pipelineWindow = 2
-
-// SendBulkViaPipelined transfers an arbitrary payload along an
-// explicit relay path through the async transmit subsystem: each
-// relay store-and-forwards from its own transmit queue, so packet p+1
-// crosses earlier hops while packet p crosses later ones, and
-// non-interfering hops genuinely overlap on the air (on a long line,
-// hops three apart clear each other's carrier-sense range). The
-// per-hop semantics — possession criterion, byte conservation, band
-// re-adaptation per packet and hop, turnaround before forwarding —
-// match SendBulkVia exactly, and on paths where every hop interferes
-// the result converges to the sequential transfer's.
-//
-// The transfer runs at TxBulk priority, so concurrent conversational
-// sends overtake it at every hop. Transient hop failures retransmit
-// under the network's bulk retry budget exactly as in SendBulkVia,
-// the retry re-entering the relay's own queue with a backed-off
-// virtual-clock floor. A hop whose budget runs out stops admission,
-// withdraws the failed packet's successors, lets already-ahead
-// packets finish, and returns a *RelayError naming the first failed
-// packet and hop; Received then holds the contiguous delivered prefix
-// — a packet that was already past the failed hop, or even delivered
-// end-to-end behind the failure, never counts as delivered payload.
-// Cancelling ctx aborts the transfer the same way.
-//
-// Unlike SendBulkVia, the pipelined transfer's path is fixed at
-// launch: packets at different hops would otherwise disagree about
-// the path, and a splice racing in-flight jobs would break the
-// deterministic dispatch order. Under motion, re-route between
-// pipelined transfers (Route reflects each position epoch); a hop
-// whose geometry walked away mid-transfer fails through the normal
-// retry budget.
-func (n *Network) SendBulkViaPipelined(ctx context.Context, path []DeviceID, payload []byte) (BulkResult, error) {
-	nodes, err := n.resolvePath(path)
-	if err != nil {
-		return BulkResult{}, err
-	}
-	if len(payload) == 0 {
-		return BulkResult{}, fmt.Errorf("%w: empty bulk payload", ErrBadMessage)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr := &bulkPipeline{
-		n: n, ctx: ctx, nodes: nodes,
-		path: append([]DeviceID(nil), path...), payload: payload,
-		hops:     len(path) - 1,
-		done:     make(chan struct{}),
-		active:   make(map[int]*TxHandle),
-		hopTries: make(map[int]int),
-	}
-	tr.out = BulkResult{
-		Path:    tr.path,
-		Packets: (len(payload) + 1) / 2,
-		StartS:  nodes[0].ClockS(),
-	}
-	tr.pkts = make([]bulkPktRecord, tr.out.Packets)
-	tr.outstanding = tr.out.Packets
-	window := pipelineWindow
-	if window > n.cfg.txQueueCap {
-		window = n.cfg.txQueueCap
-	}
-	n.tx.mu.Lock()
-	for i := 0; i < window && !tr.failed; i++ {
-		tr.admitLocked()
-	}
-	n.txEvaluateLocked()
-	tr.finishIfDoneLocked()
-	n.tx.mu.Unlock()
-	// Every admitted job carries ctx, and failures stop admission, so
-	// the pipeline always drains: no select on ctx needed here.
-	<-tr.done
-	tr.finalize()
-	if tr.failed {
-		return tr.out, &RelayError{
-			Hop: tr.failHop, From: tr.path[tr.failHop], To: tr.path[tr.failHop+1],
-			Path: tr.out.Path, Pkt: tr.failPkt, Err: tr.failErr,
-		}
-	}
-	return tr.out, nil
-}
-
-// SendBulkPipelined is SendBulk through the pipelined transfer: route
-// to dst, then SendBulkViaPipelined along the path.
-func (nd *Node) SendBulkPipelined(ctx context.Context, dst DeviceID, payload []byte) (BulkResult, error) {
-	path, err := nd.net.Route(nd.id, dst)
-	if err != nil {
-		return BulkResult{}, err
-	}
-	return nd.net.SendBulkViaPipelined(ctx, path, payload)
-}
-
-// chunk extracts packet p's 2-byte payload chunk and whether its
-// second byte is padding.
-func (tr *bulkPipeline) chunk(p int) (chunk [2]byte, padded bool) {
-	chunk[0] = tr.payload[2*p]
-	padded = 2*p+2 > len(tr.payload)
-	if !padded {
-		chunk[1] = tr.payload[2*p+1]
-	}
-	return chunk, padded
-}
-
-// admitLocked enqueues the next packet's hop-0 job (tx.mu held).
-func (tr *bulkPipeline) admitLocked() {
-	if tr.nextPkt >= tr.out.Packets || tr.failed {
-		return
-	}
-	p := tr.nextPkt
-	tr.nextPkt++
-	tr.enqueueHopLocked(0, p, 0)
-}
-
-// enqueueHopLocked queues packet p's hop job with the given ready
-// floor; an enqueue rejection (queue full, node left) is a hop
-// failure (tx.mu held).
-func (tr *bulkPipeline) enqueueHopLocked(hop, p int, notBeforeS float64) {
-	chunk, padded := tr.chunk(p)
-	raw := chunk
-	rc := relayCtx{hop: hop, pathHops: tr.hops, bulkPkt: p, bulkPkts: tr.out.Packets}
-	h, err := tr.n.txEnqueueLocked(
-		tr.nodes[hop], tr.nodes[hop+1], TxBulk, notBeforeS, &raw, 0, 0,
-		rc, tr.ctx, nil, tr.hopDone(hop, p, chunk, padded))
-	if err != nil {
-		tr.outstanding--
-		tr.recordFailureLocked(p, hop, err)
-		tr.finishIfDoneLocked()
-		return
-	}
-	tr.active[p] = h
-}
-
 // hopDone builds the continuation for packet p's hop job. It runs
 // under tx.mu inside completion processing, atomically before any
 // newly unblocked job dispatches.
@@ -575,13 +537,14 @@ func (tr *bulkPipeline) hopDone(hop, p int, chunk [2]byte, padded bool) func(TxD
 		tr.out.Attempts += d.Result.Attempts
 		delete(tr.active, p)
 		ferr := hopFailed(d.Result, d.Err)
-		if ferr == nil && hop == 0 {
-			// The source finished packet p's first hop: admit the next
-			// packet to keep the window full. Deferred so the forward in
-			// the switch below enqueues FIRST and takes the older
-			// dispatch key — otherwise the source's ever-younger hop-0
-			// jobs would starve every relay behind them and the pipeline
-			// would degenerate into "blast hop 0, then drain".
+		if ferr == nil && (hop == 0 && tr.window > 1 || hop+1 == tr.hops && tr.window == 1) {
+			// The packet freed its window slot — it cleared the source's
+			// hop, or, one packet in flight, reached the destination:
+			// admit the next packet. Deferred so a forward in the switch
+			// below enqueues FIRST and takes the older dispatch key —
+			// otherwise the source's ever-younger hop-0 jobs would starve
+			// every relay behind them and the pipeline would degenerate
+			// into "blast hop 0, then drain".
 			defer tr.admitLocked()
 		}
 		switch {

@@ -291,3 +291,53 @@ func TestRelayFailureSurfacesRelayError(t *testing.T) {
 		}
 	})
 }
+
+// TestBlockingSendsAcceptNilContext: Node.Send, Network.SendVia and
+// Network.SendBulkVia treat a nil ctx as context.Background(), like
+// Enqueue, SendBulkViaPipelined and OpenStream (they used to panic in
+// the scheduler's per-attempt gate).
+func TestBlockingSendsAcceptNilContext(t *testing.T) {
+	net, nodes := buildRelayLine(t, 2)
+	okMsg, _ := aquago.LookupMessage("OK?")
+	//lint:ignore SA1012 a nil ctx is the case under test
+	if _, err := nodes[0].Send(nil, 1, okMsg.ID); err != nil {
+		t.Fatalf("Send(nil ctx): %v", err)
+	}
+	//lint:ignore SA1012 a nil ctx is the case under test
+	if _, err := net.SendVia(nil, []aquago.DeviceID{0, 1, 2}, okMsg.ID); err != nil {
+		t.Fatalf("SendVia(nil ctx): %v", err)
+	}
+	//lint:ignore SA1012 a nil ctx is the case under test
+	if res, err := net.SendBulkVia(nil, []aquago.DeviceID{0, 1, 2}, []byte("hi")); err != nil || !bytes.Equal(res.Received, []byte("hi")) {
+		t.Fatalf("SendBulkVia(nil ctx): %v (%+v)", err, res)
+	}
+}
+
+// TestSendBulkViaHopsAreQueuedJobs: the one-packet transfer runs on
+// the relays' transmit queues, so every hop of every packet surfaces
+// on Deliveries as a TxBulk job, in packet-then-hop order, and its
+// stage events carry the job's TxID.
+func TestSendBulkViaHopsAreQueuedJobs(t *testing.T) {
+	trace := &relayTrace{}
+	net, _ := buildRelayLine(t, 2, aquago.WithNetworkTrace(trace))
+	deliveries := net.Deliveries()
+	res, err := net.SendBulkVia(context.Background(), []aquago.DeviceID{0, 1, 2}, []byte("abcd"))
+	if err != nil {
+		t.Fatalf("transfer: %v (%+v)", err, res)
+	}
+	want := [][2]aquago.DeviceID{{0, 1}, {1, 2}, {0, 1}, {1, 2}}
+	ids := map[uint64]bool{}
+	for i, hop := range want {
+		d := <-deliveries
+		if d.From != hop[0] || d.To != hop[1] || d.Priority != aquago.TxBulk || d.Err != nil {
+			t.Fatalf("delivery %d: %d -> %d at %v (err %v), want %d -> %d at bulk",
+				i, d.From, d.To, d.Priority, d.Err, hop[0], hop[1])
+		}
+		ids[d.TxID] = true
+	}
+	for _, ev := range trace.events {
+		if !ids[ev.TxID] {
+			t.Fatalf("stage event %+v carries TxID %d, not one of the transfer's jobs", ev, ev.TxID)
+		}
+	}
+}

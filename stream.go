@@ -45,7 +45,7 @@ import (
 // queue lock and mutated only from Write/CloseWrite/Close (program
 // order) and job continuations (txJob.after, which run atomically
 // under tx.mu before any unblocked job dispatches) — the same
-// contract the pipelined bulk relay rides. Stream results are
+// contract the bulk relay rides. Stream results are
 // therefore worker-count invariant whenever the caller's own enqueue
 // pattern is deterministic.
 
@@ -461,7 +461,7 @@ func (s *Stream) enqueueSegLocked(seg int, floorS float64) {
 
 // segDone builds segment seg's completion continuation. It runs under
 // tx.mu inside completion processing, atomically before any newly
-// unblocked job dispatches — the same slot the pipelined relay
+// unblocked job dispatches — the same slot the bulk relay
 // forwards packets from.
 func (s *Stream) segDone(seg int) func(TxDelivery) {
 	return func(d TxDelivery) {

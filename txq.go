@@ -39,11 +39,11 @@ import (
 //
 // Completion processing is atomic under the queue lock: the handle
 // resolves, the delivery is recorded, and any continuation (a
-// pipelined relay forwarding the packet to the next hop) enqueues
+// bulk relay forwarding the packet to the next hop) enqueues
 // BEFORE any newly unblocked job can dispatch. The contract: results
 // are deterministic and worker-count invariant whenever the enqueue
 // pattern itself is deterministic — jobs enqueued from one goroutine
-// in program order, or from completion continuations (the pipelined
+// in program order, or from completion continuations (the bulk
 // relay), or both. Racing enqueuers from independent goroutines get
 // well-defined FIFO-within-priority semantics per node, but their
 // interleaving is theirs to determine.
@@ -66,7 +66,7 @@ const (
 	TxHigh TxPriority = iota
 	// TxNormal is the default conversational priority (SendAsync).
 	TxNormal
-	// TxBulk is background transfer priority; the pipelined bulk
+	// TxBulk is background transfer priority; the bulk
 	// relay schedules its packets here so conversational sends
 	// overtake a long transfer at every hop.
 	TxBulk
@@ -242,7 +242,7 @@ type txJob struct {
 	onDone func(TxDelivery)
 	// after, when non-nil, runs under tx.mu as part of completion
 	// processing — atomically before any newly unblocked job can
-	// dispatch. The pipelined relay forwards packets through it.
+	// dispatch. The bulk relay forwards packets through it.
 	after func(TxDelivery)
 
 	state txJobState
@@ -353,9 +353,6 @@ func (nd *Node) Enqueue(ctx context.Context, job TxJob) (*TxHandle, error) {
 			second = job.Msgs[1]
 		}
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := nd.net
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
@@ -377,11 +374,15 @@ func (nd *Node) Enqueue(ctx context.Context, job TxJob) (*TxHandle, error) {
 	return h, nil
 }
 
-// txEnqueueLocked builds and queues a job (tx.mu held). It does NOT
-// run the dispatch gate — callers evaluate once after a batch.
+// txEnqueueLocked builds and queues a job (tx.mu held); a nil ctx
+// means context.Background(). It does NOT run the dispatch gate —
+// callers evaluate once after a batch.
 func (n *Network) txEnqueueLocked(nd, dst *Node, pri TxPriority, notBeforeS float64, raw *[2]byte, first, second uint8, rc relayCtx, ctx context.Context, onDone, after func(TxDelivery)) (*TxHandle, error) {
 	if nd.txq.n >= n.cfg.txQueueCap {
 		return nil, fmt.Errorf("%w: node %d at capacity %d", ErrQueueFull, nd.id, n.cfg.txQueueCap)
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	n.tx.seq++
 	jctx, cancel := context.WithCancel(ctx)
@@ -528,7 +529,7 @@ func (n *Network) txDaemon(nd *Node) {
 }
 
 // txComplete processes one finished job atomically under tx.mu:
-// resolve the handle, run the continuation (a pipelined relay's
+// resolve the handle, run the continuation (a bulk relay's
 // forward enqueue lands here, before any unblocked job can dispatch),
 // record the delivery, and re-run the dispatch gate.
 func (n *Network) txComplete(j *txJob, res SendResult, endS float64, err error) {
@@ -563,7 +564,7 @@ func (n *Network) txFinishLocked(j *txJob, res SendResult, endS float64, err err
 		Result: res, EndS: endS, Err: err,
 	}
 	if j.after != nil {
-		//aqualint:callback-under-lock after is internal (never user-supplied): the pipelined relay's continuation, documented on txJob to run under tx.mu so forwards enqueue before any unblocked job dispatches; it calls only *Locked helpers
+		//aqualint:callback-under-lock after is internal (never user-supplied): the bulk relay's continuation, documented on txJob to run under tx.mu so forwards enqueue before any unblocked job dispatches; it calls only *Locked helpers
 		j.after(d)
 	}
 	n.txDeliverLocked(d, j.onDone)

@@ -505,4 +505,3 @@ func TestDeliveriesCarryTxIDs(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
