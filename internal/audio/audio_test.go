@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,85 +121,5 @@ func TestPCMConversion(t *testing.T) {
 	}
 	if v := PCM16ToFloat(32767); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("PCM16ToFloat(32767) = %g", v)
-	}
-}
-
-func TestRingBasics(t *testing.T) {
-	r, err := NewRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cap() != 8 || r.Len() != 0 {
-		t.Fatal("fresh ring state")
-	}
-	r.Write([]float64{1, 2, 3})
-	if r.Len() != 3 || r.Total() != 3 {
-		t.Fatal("write accounting")
-	}
-	dst := make([]float64, 2)
-	if n := r.Read(dst); n != 2 || dst[0] != 1 || dst[1] != 2 {
-		t.Fatalf("read %d %v", n, dst)
-	}
-	if r.Len() != 1 {
-		t.Fatal("consume accounting")
-	}
-	if _, err := NewRing(0); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-}
-
-func TestRingOverwriteOldest(t *testing.T) {
-	r, _ := NewRing(4)
-	r.Write([]float64{1, 2, 3, 4, 5, 6}) // 1, 2 overwritten
-	dst := make([]float64, 4)
-	if n := r.Read(dst); n != 4 {
-		t.Fatalf("read %d", n)
-	}
-	want := []float64{3, 4, 5, 6}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("got %v want %v", dst, want)
-		}
-	}
-}
-
-func TestRingPeekAndDiscard(t *testing.T) {
-	r, _ := NewRing(8)
-	r.Write([]float64{1, 2, 3, 4})
-	dst := make([]float64, 2)
-	if n := r.Peek(dst); n != 2 || dst[0] != 1 {
-		t.Fatal("peek")
-	}
-	if r.Len() != 4 {
-		t.Fatal("peek must not consume")
-	}
-	if n := r.Discard(3); n != 3 {
-		t.Fatal("discard count")
-	}
-	if n := r.Discard(10); n != 1 {
-		t.Fatalf("over-discard returned %d", n)
-	}
-}
-
-func TestRingConcurrency(t *testing.T) {
-	r, _ := NewRing(1024)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			r.Write(make([]float64, 64))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		dst := make([]float64, 128)
-		for i := 0; i < 100; i++ {
-			r.Read(dst)
-		}
-	}()
-	wg.Wait()
-	if r.Total() != 6400 {
-		t.Fatalf("total %d", r.Total())
 	}
 }

@@ -1,7 +1,6 @@
 // Package audio provides the sample-level I/O substrate: PCM16 WAV
 // reading and writing (so waveforms can round-trip through files and
-// external tools), float/int16 conversion with clipping, and a ring
-// buffer for streaming receivers.
+// external tools) and float/int16 conversion with clipping.
 package audio
 
 import (

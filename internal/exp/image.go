@@ -121,7 +121,7 @@ func (p StreamPoint) withDefaults() StreamPoint {
 }
 
 // Validate rejects parameter combinations that cannot run;
-// cmd/aquanet -stream surfaces these to users.
+// cmd/aquanet stream surfaces these to users.
 func (p StreamPoint) Validate() error {
 	p = p.withDefaults()
 	switch {

@@ -167,7 +167,7 @@ func TestImageRelayPreviewClock(t *testing.T) {
 }
 
 // TestStreamPointValidate walks the rejection paths shared with
-// cmd/aquanet -stream.
+// cmd/aquanet stream.
 func TestStreamPointValidate(t *testing.T) {
 	good := StreamPoint{Bytes: 16, Retries: 3, Mode: aquago.EnvelopeContention}
 	cases := []struct {
@@ -204,7 +204,7 @@ func TestStreamPointValidate(t *testing.T) {
 }
 
 // TestImagePointValidate covers the image-point rejections shared
-// with cmd/aquanet -image.
+// with cmd/aquanet image.
 func TestImagePointValidate(t *testing.T) {
 	good := ImagePoint{Blocks: 4, BlockBytes: 3, Retries: 3, Mode: aquago.EnvelopeContention}
 	cases := []struct {

@@ -79,7 +79,7 @@ type MacLoadPoint struct {
 }
 
 // Validate rejects parameter combinations that cannot run or would
-// silently degenerate; cmd/aquanet -load surfaces these to users.
+// silently degenerate; cmd/aquanet load surfaces these to users.
 func (p MacLoadPoint) Validate() error {
 	nodes := p.Pods * p.PodSize
 	switch {

@@ -212,7 +212,7 @@ func TestMacLoadPoissonProperties(t *testing.T) {
 }
 
 // TestMacLoadPointValidate walks the rejection paths surfaced by the
-// CLIs (aquanet -load, aquabench -macload flags funnel into the same
+// CLIs (aquanet load, aquabench -macload flags funnel into the same
 // config type).
 func TestMacLoadPointValidate(t *testing.T) {
 	good := MacLoadPoint{

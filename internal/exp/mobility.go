@@ -97,7 +97,7 @@ func (p MobilityPoint) withDefaults() MobilityPoint {
 }
 
 // Validate rejects parameter combinations that cannot run;
-// cmd/aquanet -mobility surfaces these to users.
+// cmd/aquanet mobility surfaces these to users.
 func (p MobilityPoint) Validate() error {
 	p = p.withDefaults()
 	switch {

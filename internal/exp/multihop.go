@@ -53,7 +53,7 @@ type MultiHopPoint struct {
 	// Env is the deployment site (zero value = Bridge).
 	Env aquago.Environment
 	// Trace, when non-nil, observes every hop exchange's stage events
-	// (cmd/aquanet -relay prints per-hop progress through it). It does
+	// (cmd/aquanet relay prints per-hop progress through it). It does
 	// not influence results.
 	Trace aquago.Trace
 	// Pipelined runs the transfer through the async transmit
@@ -86,7 +86,7 @@ func (p MultiHopPoint) withDefaults() MultiHopPoint {
 }
 
 // Validate rejects parameter combinations that cannot run;
-// cmd/aquanet -relay surfaces these to users.
+// cmd/aquanet relay surfaces these to users.
 func (p MultiHopPoint) Validate() error {
 	p = p.withDefaults()
 	switch {

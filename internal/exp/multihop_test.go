@@ -118,7 +118,7 @@ func TestMultiHopBulkConservation(t *testing.T) {
 }
 
 // TestMultiHopPointValidate walks the rejection paths shared with
-// cmd/aquanet -relay.
+// cmd/aquanet relay.
 func TestMultiHopPointValidate(t *testing.T) {
 	good := MultiHopPoint{Hops: 3, PayloadBytes: 16, Mode: aquago.EnvelopeContention}
 	cases := []struct {

@@ -104,7 +104,7 @@ func (p ScalePoint) withDefaults() ScalePoint {
 	return p
 }
 
-// Validate rejects harbors that cannot be built; cmd/aquanet -scale
+// Validate rejects harbors that cannot be built; cmd/aquanet scale
 // surfaces these to users.
 func (p ScalePoint) Validate() error {
 	q := p.withDefaults()
