@@ -28,8 +28,8 @@
 // session is its 2-node special case. Collisions either count against
 // envelope statistics (the default fast path) or corrupt the actual
 // received samples (WithContentionMode(WaveformContention)), and
-// non-interfering exchanges run in parallel on a conflict-graph
-// scheduler (WithNetworkWorkers). Above the MAC, the network routes
+// non-interfering exchanges run in parallel, dispatched by the
+// transmit queue's conflict gate (WithNetworkWorkers). Above the MAC, the network routes
 // and relays: Network.Route picks multi-hop paths over the
 // carrier-sense audibility graph (WithRouting: min-hop or ETX-style
 // channel-quality weighting), Network.SendVia walks an explicit path

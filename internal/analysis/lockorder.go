@@ -11,9 +11,9 @@ import (
 // callbacks out of critical sections.
 //
 // The network's locks form a strict order — txState.mu before
-// Node.sendMu before Network.mu before Network.traceMu (see the
-// txState and Network doc comments) — that until this analyzer lived
-// only in comments. Lockorder checks two things intraprocedurally:
+// Network.mu before Network.traceMu (see the txState and Network doc
+// comments) — that until this analyzer lived only in comments.
+// Lockorder checks two things intraprocedurally:
 //
 //   - ordering: acquiring a ranked mutex while already holding a
 //     higher-ranked one (or re-acquiring a held mutex) is a
@@ -32,7 +32,7 @@ import (
 //     //aqualint:callback-under-lock <why>.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
-	Doc: "enforces the tx.mu -> sendMu -> Network.mu -> traceMu lock order and " +
+	Doc: "enforces the tx.mu -> Network.mu -> traceMu lock order and " +
 		"flags user callbacks invoked with a mutex held (annotate deliberate " +
 		"ones //aqualint:callback-under-lock <why>)",
 	Run: runLockorder,

@@ -46,15 +46,12 @@ type heldLock struct {
 const callerHeldKey = "«caller-held»"
 
 // lockRanks is the documented aquago lock ordering: tx.mu before
-// Network.mu before node-local state before the trace serializer.
-// Acquiring a lower rank while holding a higher one is a lockorder
-// diagnostic. The table is keyed by "OwnerType.field" so the same
-// discipline is checkable in analyzer fixtures that re-declare the
-// shapes. (txState.mu and Node.sendMu are not ordered against each
-// other — no code path holds both — but both precede Network.mu.)
+// Network.mu before the trace serializer. Acquiring a lower rank while
+// holding a higher one is a lockorder diagnostic. The table is keyed
+// by "OwnerType.field" so the same discipline is checkable in analyzer
+// fixtures that re-declare the shapes.
 var lockRanks = map[string]int{
-	"txState.mu":      10, // async transmit queue state (txq.go)
-	"Node.sendMu":     20, // per-node radio serialization (node.go)
+	"txState.mu":      10, // transmit queue state (txq.go)
 	"Network.mu":      30, // virtual-time bookkeeping (network.go)
 	"Network.traceMu": 40, // shared trace/probe serializer (leaf)
 }

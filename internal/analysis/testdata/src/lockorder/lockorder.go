@@ -23,11 +23,6 @@ type Network struct {
 	onDone  func(int)
 }
 
-type Node struct {
-	sendMu sync.Mutex
-	net    *Network
-}
-
 // orderedOK acquires along the documented order: txState.mu (10)
 // before Network.mu (30).
 func (n *Network) orderedOK() {
@@ -45,11 +40,11 @@ func (n *Network) inverted() {
 	n.tx.mu.Unlock()
 }
 
-func (nd *Node) invertedFromLeaf() {
-	nd.net.traceMu.Lock()
-	defer nd.net.traceMu.Unlock()
-	nd.sendMu.Lock() // want "Node.sendMu acquired while holding Network.traceMu inverts the documented lock order"
-	nd.sendMu.Unlock()
+func (n *Network) invertedFromLeaf() {
+	n.traceMu.Lock()
+	defer n.traceMu.Unlock()
+	n.mu.Lock() // want "Network.mu acquired while holding Network.traceMu inverts the documented lock order"
+	n.mu.Unlock()
 }
 
 func (n *Network) reentrant() {

@@ -107,9 +107,9 @@ func (p MacLoadPoint) Validate() error {
 }
 
 // MacLoadResult reports one offered-load measurement. Every field
-// except Sched.MaxConcurrent and Sched.Workers is a deterministic
-// function of the point's parameters (the golden seeds×workers test
-// pins the report built from them).
+// except Sched.ConflictEdges, Sched.MaxConcurrent and Sched.Workers is
+// a deterministic function of the point's parameters (the golden
+// seeds×workers test pins the report built from them).
 type MacLoadResult struct {
 	Nodes int
 	// OfferedMsgs counts generated arrivals; DeliveredMsgs the ones
@@ -130,8 +130,8 @@ type MacLoadResult struct {
 	// DurationS).
 	MakespanS float64
 	// Sched snapshots the network's scheduler counters (Granted,
-	// Committed and AirtimeS are deterministic; MaxConcurrent is a
-	// wall-clock observation).
+	// Committed and AirtimeS are deterministic; ConflictEdges and
+	// MaxConcurrent are wall-clock observations).
 	Sched aquago.SchedulerStats
 }
 

@@ -26,9 +26,10 @@ func tinyMacLoadSweep() macLoadSweep {
 	}
 }
 
-// normalizeSched zeroes the two wall-clock observation fields so
+// normalizeSched zeroes the wall-clock observation fields so
 // deep-equality compares only the deterministic part of a result.
 func normalizeSched(r MacLoadResult) MacLoadResult {
+	r.Sched.ConflictEdges = 0
 	r.Sched.MaxConcurrent = 0
 	r.Sched.Workers = 0
 	return r

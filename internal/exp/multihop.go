@@ -300,7 +300,8 @@ func (p MultiHopLoadPoint) Validate() error {
 }
 
 // MultiHopLoadResult reports one relayed offered-load measurement.
-// Everything except Sched.MaxConcurrent/Workers is deterministic.
+// Everything except Sched.ConflictEdges/MaxConcurrent/Workers is
+// deterministic.
 type MultiHopLoadResult struct {
 	Nodes int
 	// OfferedMsgs counts arrivals; DeliveredMsgs the ones whose

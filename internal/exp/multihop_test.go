@@ -36,8 +36,8 @@ func tinyMultiHopSweep() multiHopSweep {
 // the relayed offered-load tables — must be deeply equal whether the
 // measurement points run serially (Workers: 1) or fan out across the
 // experiment pool (Workers: 4). Inside each point the live Network
-// runs its own conflict-graph scheduler, so this additionally pins
-// that relay forwarding respects ticket order deterministically.
+// runs its own dispatch gate, so this additionally pins that relay
+// forwarding respects the gate's order deterministically.
 func TestMultiHopGoldenSeedsWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the tiny relay sweep several times")

@@ -80,10 +80,11 @@ type StageEvent struct {
 	BulkPkt  int
 	BulkPkts int
 
-	// TxID tags every event of a queued (async) send's exchanges with
-	// the transmit handle's ID, stamped by the network's transmit
-	// daemon the same way the relay layer stamps the hop context. Zero
-	// for blocking sends, which have no handle.
+	// TxID tags every event of a network send's exchanges with its
+	// transmit job's ID (every send, blocking ones included, is a
+	// queued job), stamped by the network's transmit daemon the same
+	// way the relay layer stamps the hop context. Zero outside a
+	// network (a bare Session or Protocol).
 	TxID uint64
 }
 

@@ -1,89 +1,7 @@
 package seq
 
-import "fmt"
-
 // PreamblePN is the fixed 8-element sign pattern the paper multiplies
 // onto the eight identical preamble OFDM symbols ([-1,1,1,1,1,1,-1,1])
 // to sharpen the sliding-correlation timing metric and suppress its
 // side lobes.
 var PreamblePN = [8]int{-1, 1, 1, 1, 1, 1, -1, 1}
-
-// LFSR is a Galois linear-feedback shift register producing maximal-
-// length (m-sequence) pseudo-noise bits. Used for training payloads
-// and synthetic test data.
-type LFSR struct {
-	state uint32
-	taps  uint32
-	bits  uint
-}
-
-// NewLFSR returns an LFSR of the given register width (one of 2-10,
-// 15, 16, 23, 31 bits) with a primitive feedback polynomial chosen
-// from a built-in table, seeded with the given non-zero state.
-func NewLFSR(width uint, seed uint32) *LFSR {
-	// Galois tap masks: bit e-1 set for each polynomial term x^e
-	// (constant term excluded). All polynomials are primitive, so the
-	// register walks all 2^width-1 non-zero states.
-	table := map[uint]uint32{
-		2:  0b11,                              // x^2+x+1
-		3:  0b110,                             // x^3+x^2+1
-		4:  0b1100,                            // x^4+x^3+1
-		5:  0b10100,                           // x^5+x^3+1
-		6:  0b110000,                          // x^6+x^5+1
-		7:  0b1100000,                         // x^7+x^6+1
-		8:  0b10111000,                        // x^8+x^6+x^5+x^4+1
-		9:  0b100010000,                       // x^9+x^5+1
-		10: 0b1001000000,                      // x^10+x^7+1
-		15: 0b110000000000000,                 // x^15+x^14+1
-		16: 0b1011010000000000,                // x^16+x^14+x^13+x^11+1
-		23: 0b10000100000000000000000,         // x^23+x^18+1
-		31: 0b1001000000000000000000000000000, // x^31+x^28+1
-	}
-	taps, ok := table[width]
-	if !ok {
-		panic(fmt.Sprintf("seq: unsupported LFSR width %d", width))
-	}
-	mask := uint32(1)<<width - 1
-	seed &= mask
-	if seed == 0 {
-		seed = 1
-	}
-	return &LFSR{state: seed, taps: taps, bits: width}
-}
-
-// NextBit advances the register one Galois step and returns the
-// output bit.
-func (l *LFSR) NextBit() int {
-	out := l.state & 1
-	l.state >>= 1
-	if out == 1 {
-		l.state ^= l.taps
-	}
-	return int(out)
-}
-
-// Bits returns the next n output bits.
-func (l *LFSR) Bits(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = l.NextBit()
-	}
-	return out
-}
-
-// Signs returns the next n outputs mapped to ±1 (0 -> +1, 1 -> -1).
-func (l *LFSR) Signs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		if l.NextBit() == 1 {
-			out[i] = -1
-		} else {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// Period returns the sequence period for a maximal-length register of
-// this width (2^width - 1).
-func (l *LFSR) Period() int { return int(uint32(1)<<l.bits - 1) }

@@ -71,85 +71,3 @@ func TestPreamblePNPattern(t *testing.T) {
 		t.Fatalf("PreamblePN = %v, want %v", PreamblePN, want)
 	}
 }
-
-func TestLFSRMaximalPeriod(t *testing.T) {
-	for _, width := range []uint{3, 4, 5, 6, 7, 8, 9, 10} {
-		l := NewLFSR(width, 1)
-		period := l.Period()
-		if period != (1<<width)-1 {
-			t.Fatalf("width %d: Period() = %d", width, period)
-		}
-		// The state must return to the seed after exactly `period`
-		// steps and not before.
-		seen := map[uint32]bool{}
-		state := l.state
-		for i := 0; i < period; i++ {
-			if seen[l.state] {
-				t.Fatalf("width %d: state repeated before full period at step %d", width, i)
-			}
-			seen[l.state] = true
-			l.NextBit()
-		}
-		if l.state != state {
-			t.Fatalf("width %d: state did not return to seed after period", width)
-		}
-	}
-}
-
-func TestLFSRBalance(t *testing.T) {
-	// A maximal-length sequence of width w has 2^(w-1) ones and
-	// 2^(w-1)-1 zeros per period.
-	l := NewLFSR(8, 0xAB)
-	bits := l.Bits(l.Period())
-	ones := 0
-	for _, b := range bits {
-		ones += b
-	}
-	if ones != 128 {
-		t.Fatalf("ones = %d, want 128", ones)
-	}
-}
-
-func TestLFSRSigns(t *testing.T) {
-	l := NewLFSR(8, 1)
-	s := l.Signs(100)
-	for i, v := range s {
-		if v != 1 && v != -1 {
-			t.Fatalf("sign %d = %d", i, v)
-		}
-	}
-}
-
-func TestLFSRZeroSeedCoerced(t *testing.T) {
-	l := NewLFSR(8, 0)
-	// Must not be stuck at all-zero state.
-	bits := l.Bits(16)
-	any := false
-	for _, b := range bits {
-		if b != 0 {
-			any = true
-		}
-	}
-	if !any {
-		t.Fatal("zero seed produced the all-zero sequence")
-	}
-}
-
-func TestLFSRUnsupportedWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unsupported width")
-		}
-	}()
-	NewLFSR(12, 1)
-}
-
-func TestLFSRDeterminism(t *testing.T) {
-	a := NewLFSR(10, 77).Bits(200)
-	b := NewLFSR(10, 77).Bits(200)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different sequences")
-		}
-	}
-}

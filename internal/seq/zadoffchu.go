@@ -1,7 +1,7 @@
 // Package seq generates the deterministic sequences the modem is built
 // on: Zadoff-Chu (CAZAC) sequences for the OFDM preamble and channel
-// estimation, and LFSR-based pseudo-noise sequences for the preamble's
-// segment sign pattern.
+// estimation, and the fixed pseudo-noise sign pattern of the
+// preamble's segments.
 package seq
 
 import (

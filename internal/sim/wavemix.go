@@ -35,8 +35,8 @@ type WaveTransmission struct {
 // per-pair channel links it convolves through are stateful, and a
 // link into receiver r is touched by every mix for r. Two concurrent
 // mixes are only safe when their receivers cannot hear a common
-// transmitter — the exact condition the Network's conflict-graph
-// scheduler enforces before letting exchanges run in parallel.
+// transmitter — the exact condition the Network's dispatch gate
+// enforces before letting exchanges run in parallel.
 type WaveBank struct {
 	med        *Medium
 	links      *Links

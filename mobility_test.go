@@ -205,90 +205,6 @@ func TestRoutesMatchBruteUnderMotion(t *testing.T) {
 	}
 }
 
-// TestTicketEdgesMatchBruteUnderMotion interleaves ticket
-// registration, resolution and position epochs, checking after every
-// step the rewire invariants: a still-parked ticket's edges and wait
-// count equal the brute interference recomputation at *current*
-// geometry, and an admitted ticket (ready closed) is never blocked
-// again — admission is monotone.
-func TestTicketEdgesMatchBruteUnderMotion(t *testing.T) {
-	for _, cs := range []float64{12, 30} {
-		for seed := int64(1); seed <= 3; seed++ {
-			net := scatterNetwork(t, 24, cs, seed)
-			rng := rand.New(rand.NewSource(seed * 62851))
-			net.mu.Lock()
-			var live []*ticket
-			check := func(step string) {
-				for _, tk := range live {
-					ready := false
-					select {
-					case <-tk.ready:
-						ready = true
-					default:
-					}
-					if ready {
-						// Monotone admission: no edge may point at an
-						// admitted ticket (every edge holds a wait).
-						if tk.waits != 0 {
-							t.Fatalf("cs=%g seed=%d %s: ready ticket %d holds %d waits", cs, seed, step, tk.seq, tk.waits)
-						}
-						for _, u := range live {
-							for _, b := range u.blocks {
-								if b == tk {
-									t.Fatalf("cs=%g seed=%d %s: admitted ticket %d re-blocked by %d", cs, seed, step, tk.seq, u.seq)
-								}
-							}
-						}
-						continue
-					}
-					// A parked ticket waits on every earlier live ticket
-					// that interferes at current geometry — admitted or
-					// parked alike (admitted predecessors still resolve).
-					wantWaits := 0
-					for _, u := range live {
-						if u.seq < tk.seq && bruteInterferes(net, u.tx, u.rx, tk.tx, tk.rx) {
-							wantWaits++
-						}
-					}
-					if tk.waits != wantWaits {
-						t.Fatalf("cs=%g seed=%d %s: ticket %d waits=%d, brute %d", cs, seed, step, tk.seq, tk.waits, wantWaits)
-					}
-				}
-			}
-			for step := 0; step < 80; step++ {
-				switch {
-				case len(live) > 0 && rng.Intn(4) == 0:
-					victim := live[0]
-					net.resolveLocked(victim)
-					live = live[1:]
-				case rng.Intn(3) == 0:
-					// A position epoch between registrations.
-					net.mu.Unlock()
-					moveRandom(t, net, rng, 10)
-					net.mu.Lock()
-				default:
-					tx := rng.Intn(len(net.order))
-					rx := rng.Intn(len(net.order) - 1)
-					if rx >= tx {
-						rx++
-					}
-					live = append(live, net.registerTicketLocked(tx, rx))
-				}
-				check(fmt.Sprintf("step %d", step))
-			}
-			for len(live) > 0 {
-				net.resolveLocked(live[0])
-				live = live[1:]
-				check("drain")
-			}
-			if len(net.tickets) != 0 {
-				t.Fatalf("cs=%g seed=%d: %d tickets leaked", cs, seed, len(net.tickets))
-			}
-			net.mu.Unlock()
-		}
-	}
-}
-
 // TestAdvanceMotionFollowsTracks pins the track-driven epoch loop:
 // positions follow MotionTrack.At on the monotone motion clock,
 // trackless nodes hold station, and the epoch report lists movers.

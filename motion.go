@@ -27,9 +27,12 @@ import (
 //     (sim.Links.InvalidateNode — moved pairs rebuild their impulse
 //     responses from the new geometry on next use),
 //   - the route and ETX caches (noteMoveLocked, mirroring the PR 6
-//     incremental Join invalidation), and
-//   - the conflict edges of coexisting scheduler tickets
-//     (rewireTicketsLocked).
+//     incremental Join invalidation).
+//
+// The transmit queue's dispatch gate reads current geometry at each
+// decision, so queued jobs gate against the new positions; jobs
+// already inflight are never re-gated (a radio cannot un-hear a
+// grant).
 //
 // Epochs are explicit rather than implicit (no hidden interpolation
 // inside the MAC gate) because determinism demands it: an epoch is a
@@ -148,8 +151,8 @@ type MotionEpoch struct {
 // AdvanceMotion advances the network's motion clock to toS and moves
 // every track-carrying node to its track position at that time — one
 // position epoch, applied atomically in ascending join order and
-// propagated through the grid, adjacency, link caches, route caches
-// and scheduler conflict edges before returning. The motion clock is
+// propagated through the grid, adjacency, link caches and route
+// caches before returning. The motion clock is
 // monotone: a toS at or before the current clock re-evaluates tracks
 // at the clock (normally a no-op).
 //
@@ -196,7 +199,7 @@ func (n *Network) AdvanceMotion(toS float64) (MotionEpoch, error) {
 // SetPosition moves the node — one single-node position epoch,
 // propagated exactly like AdvanceMotion's (grid re-bucket, adjacency
 // patch, link-cache invalidation, incremental route/ETX invalidation,
-// ticket conflict-edge rewire). A move that would bring the node
+// frontier lift). A move that would bring the node
 // within earshot of another node sharing its on-air tone is refused
 // with ErrAddressClash and the position is unchanged — the same
 // spatial tone-reuse rule Join enforces, re-validated under motion.
@@ -254,7 +257,6 @@ func (n *Network) setPositionLocked(nd *Node, p Position) error {
 	nd.pos = p
 	oldRow := n.patchAdjacencyLocked(nd.idx)
 	n.noteMoveLocked(nd.idx, oldRow)
-	n.rewireTicketsLocked(nd.idx)
 	// Causality: the mover materializes in its new neighborhood *now* —
 	// its next send may not start inside virtual history its new
 	// neighbors have already committed (their carrier sense could not

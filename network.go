@@ -248,7 +248,7 @@ const DefaultBulkRetries = 2
 // (SendBulkVia and the pipelined variant) retransmits one packet's
 // hop after a transient failure — a lost ACK or a busy channel —
 // before the transfer dies with a *RelayError. Each retransmission
-// re-enters the MAC and the conflict-graph scheduler with an
+// re-enters the relay's transmit queue and the MAC with an
 // exponentially backed virtual-clock floor scaled by the node's
 // backoff quantum. 0 restores the old abort-on-first-loss behavior;
 // n must not be negative (NewNetwork errors otherwise). Default
@@ -270,7 +270,7 @@ func WithAdaptiveBackoff() NetworkOption {
 }
 
 // WithNetworkWorkers bounds how many exchanges may execute
-// concurrently on the conflict-graph scheduler (default 0 = one per
+// concurrently on the transmit daemons (default 0 = one per
 // CPU core; 1 serializes every exchange). Only exchanges whose node
 // pairs cannot interfere — disjoint nodes, all cross distances beyond
 // the carrier-sense range — ever run in parallel, so the knob trades
@@ -291,8 +291,8 @@ func WithNetworkWorkers(workers int) NetworkOption {
 //   - a lazily built channel link for every directed node pair,
 //     derived from node geometry,
 //   - a uniform spatial grid over node positions (cell size = the
-//     carrier-sense range) backing audibility adjacency, scheduler
-//     conflict edges and route expansion, and
+//     carrier-sense range) backing audibility adjacency, carrier-sense
+//     frontiers and route expansion, and
 //   - per-node protocol stacks on one shared virtual timeline.
 //
 // Nodes enter with Join; Node.Send runs the full adaptive protocol
@@ -302,11 +302,11 @@ func WithNetworkWorkers(workers int) NetworkOption {
 //
 // All methods are safe for concurrent use. Virtual-time bookkeeping
 // (MAC grants, envelope registration, frontiers) is serialized under
-// one lock, but the exchanges themselves run on a conflict-graph
-// scheduler (see sched.go): sends whose node pairs cannot interfere —
+// one lock, but the exchanges themselves run as transmit-queue jobs
+// (see txq.go and sched.go): jobs whose node pairs cannot interfere —
 // disjoint nodes, every cross distance beyond the carrier-sense range
 // — execute concurrently on a bounded worker pool, while interfering
-// sends are ordered deterministically by grant sequence.
+// jobs dispatch one at a time in deterministic enqueue order.
 type Network struct {
 	env Environment
 	cfg networkConfig
@@ -362,9 +362,7 @@ type Network struct {
 	geoEpoch     uint64
 	motionClockS float64
 
-	// Conflict-graph scheduler state (sched.go).
-	gateSeq uint64
-	tickets []*ticket
+	// Per-attempt scheduler state (sched.go).
 	sem     chan struct{}
 	running int
 	stats   SchedulerStats
@@ -555,6 +553,7 @@ func (n *Network) Join(id DeviceID, pos Position, opts ...NodeOption) (*Node, er
 		trace:    nc.trace,
 		track:    nc.track,
 		hasTrack: nc.trackSet,
+		pinS:     math.Inf(1),
 	}
 	if nc.clockSet {
 		nd.clockS = nc.clockS

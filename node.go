@@ -3,7 +3,6 @@ package aquago
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"aquago/internal/app"
 	"aquago/internal/mac"
@@ -65,12 +64,13 @@ const interSendGapS = 0.25
 // adaptation, messenger), a carrier-sense contender, and a position
 // in the shared water. Obtain nodes from Network.Join.
 //
-// Send is safe to call from any goroutine; the network's
-// conflict-graph scheduler orders interfering exchanges on the shared
-// virtual timeline and runs non-interfering ones in parallel. Each
-// node keeps its own virtual clock, so one node's traffic delays
-// another only through the MAC (a busy channel extends the other's
-// backoff), exactly as contention works on the air.
+// Send is safe to call from any goroutine; every send is a job on the
+// node's transmit queue, whose dispatch gate orders interfering
+// exchanges on the shared virtual timeline and runs non-interfering
+// ones in parallel. Each node keeps its own virtual clock, so one
+// node's traffic delays another only through the MAC (a busy channel
+// extends the other's backoff), exactly as contention works on the
+// air.
 type Node struct {
 	net *Network
 	id  DeviceID
@@ -87,13 +87,11 @@ type Node struct {
 	cont  *mac.Contender
 	trace Trace
 
-	// sendMu serializes this node's Sends (one radio per device); the
-	// scheduler handles cross-node ordering.
-	sendMu sync.Mutex
-	// relay is the hop context stamped onto stage events while a
-	// relayed transfer's hop runs on this node (zero outside one).
-	// Guarded by sendMu: it is only written at the top of sendWith and
-	// only read by onStage, which runs inside the exchange.
+	// relay is the hop context stamped onto stage events while a job
+	// runs on this node (zero outside one). Only sendWith writes it and
+	// only onStage, inside the exchange, reads it; both run on the
+	// node's transmit daemon, and the dispatch gate never lets two jobs
+	// with this node as an endpoint be inflight at once.
 	relay relayCtx
 
 	// txq is the node's async transmit queue state (txq.go), created
@@ -117,12 +115,16 @@ type Node struct {
 	// departed marks a node that called Leave: its queued work drained
 	// with ErrNodeLeft, and new sends from or to it are refused.
 	departed bool
+	// pinS is the start of this node's granted, not yet committed
+	// attempt (as either endpoint), pinning the log prune; +Inf when
+	// none. One pin suffices: a node is an endpoint of at most one
+	// inflight job.
+	pinS float64
 }
 
 // relayCtx locates one hop exchange inside a multi-hop (and possibly
 // bulk) transfer; see the StageEvent relay fields. txID additionally
-// tags the exchange's events with the async handle that scheduled it
-// (zero for blocking sends).
+// tags the exchange's events with the job's handle ID.
 type relayCtx struct {
 	hop, pathHops     int
 	bulkPkt, bulkPkts int
@@ -192,8 +194,8 @@ func (nd *Node) AdvanceClock(atS float64) {
 
 // onStage routes protocol stage events to the node's trace, falling
 // back to the network-wide trace, stamping the relay hop context on
-// the way through. The node trace is serialized by the node's own
-// send serialization; the shared network trace is serialized
+// the way through. The node trace is serialized by the dispatch gate
+// (one inflight job per node); the shared network trace is serialized
 // explicitly, since exchanges on non-interfering pairs run in
 // parallel.
 func (nd *Node) onStage(ev phy.StageEvent) {
@@ -254,7 +256,11 @@ func (n *Network) peerLocked(nd *Node, dst DeviceID) (*Node, error) {
 
 // Send delivers one or two codebook messages to dst through the full
 // adaptive protocol, gated per attempt by the carrier-sense MAC on
-// the network's shared virtual timeline. Each physical attempt is
+// the network's shared virtual timeline, and blocks until done: it is
+// SendAsync followed by waiting on the handle. The send is a TxNormal
+// job like any other — it takes its (priority, enqueue-sequence) turn
+// behind conflicting queued jobs, its stage events carry its TxID, and
+// its completion lands on Deliveries. Each physical attempt is
 // registered with the envelope medium, so CollisionStats accounts for
 // it and other nodes' carrier sense hears it; under
 // WaveformContention the attempt's stage waveforms additionally go on
@@ -262,55 +268,48 @@ func (n *Network) peerLocked(nd *Node, dst DeviceID) (*Node, error) {
 // overlaps them.
 //
 // Errors wrap the public taxonomy: ErrBadMessage (zero, >2 or unknown
-// messages), ErrUnknownDevice, ErrChannelBusy (no MAC grant within
-// the network's access deadline; errors.As a *ChannelBusyError for
-// the busy-until time), ErrNoACK (all attempts went unacknowledged;
-// the returned SendResult still describes them), or ctx's error when
-// cancelled between attempts. A nil ctx means context.Background().
+// messages), ErrUnknownDevice, ErrBadDeviceID (dst is the node
+// itself), ErrNodeLeft (either end left, or Leave aborted the send),
+// ErrQueueFull (the node's transmit queue is at capacity),
+// ErrChannelBusy (no MAC grant within the network's access deadline;
+// errors.As a *ChannelBusyError for the busy-until time), ErrNoACK
+// (all attempts went unacknowledged; the returned SendResult still
+// describes them), or — when ctx is cancelled between attempts — an
+// error wrapping both ErrTxCancelled and ctx's error. Like any queued
+// job's, a ctx cancelled while the send still waits in the queue takes
+// effect once the job dispatches. A nil ctx means
+// context.Background().
 func (nd *Node) Send(ctx context.Context, dst DeviceID, msgs ...uint8) (SendResult, error) {
-	if len(msgs) < 1 || len(msgs) > 2 {
-		return SendResult{}, fmt.Errorf("%w: send carries 1 or 2 messages, got %d", ErrBadMessage, len(msgs))
+	h, err := nd.SendAsync(ctx, dst, msgs...)
+	if err != nil {
+		return SendResult{}, err
 	}
-	first := msgs[0]
-	second := uint8(NoMessage)
-	if len(msgs) == 2 {
-		second = msgs[1]
-	}
-	res, _, err := nd.sendWith(ctx, dst, relayCtx{}, 0, nil, first, second)
-	return res, err
+	<-h.done
+	return h.res, h.err
 }
 
-// sendWith is the full send machinery behind Send, the relay layer
-// and the transmit daemon: rc stamps stage events with the hop/async
-// context, notBeforeS floors the first attempt's ready time without
+// sendWith runs one dispatched job on its node's transmit daemon —
+// the full send machinery: j.rc stamps stage events with the hop and
+// job context, j.notB floors the first attempt's ready time without
 // advancing the node's clock (a queued job's arrival or a relayed
-// packet's possession instant), raw (when non-nil) substitutes an
+// packet's possession instant), j.raw (when non-nil) substitutes an
 // arbitrary 16-bit payload for the codebook pair, and endS reports
 // when the final on-air attempt left the air (the instant a
-// store-and-forward relay can possess the payload). A nil ctx means
-// context.Background().
-func (nd *Node) sendWith(ctx context.Context, dst DeviceID, rc relayCtx, notBeforeS float64, raw *[2]byte, first, second uint8) (_ SendResult, endS float64, _ error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// One radio per device: a node's own Sends are serial; the
-	// conflict-graph scheduler (sched.go) orders it against the rest
-	// of the network.
-	nd.sendMu.Lock()
-	defer nd.sendMu.Unlock()
-	nd.relay = rc
+// store-and-forward relay can possess the payload).
+func (nd *Node) sendWith(j *txJob) (_ SendResult, endS float64, _ error) {
+	nd.relay = j.rc
 	defer func() { nd.relay = relayCtx{} }()
 
 	n := nd.net
+	peer := j.dst
 	n.mu.Lock()
 	if nd.departed {
 		n.mu.Unlock()
 		return SendResult{}, 0, fmt.Errorf("%w: source %d", ErrNodeLeft, nd.id)
 	}
-	peer, err := n.peerLocked(nd, dst)
-	if err != nil {
+	if peer.departed {
 		n.mu.Unlock()
-		return SendResult{}, 0, err
+		return SendResult{}, 0, fmt.Errorf("%w: destination %d", ErrNodeLeft, peer.id)
 	}
 	var xmed phy.Medium
 	if n.bank != nil {
@@ -323,27 +322,19 @@ func (nd *Node) sendWith(ctx context.Context, dst DeviceID, rc relayCtx, notBefo
 		}
 		xmed = pair
 	}
-	peerTone := peer.tone
-	clock := nd.clockS
-	if notBeforeS > clock {
-		clock = notBeforeS
-	}
+	clock := max(nd.clockS, j.notB)
 	n.mu.Unlock()
 
-	// The gate runs once per attempt: wait out conflicting earlier
-	// attempts, prune behind the minimum horizon, then carrier-sense
-	// until the MAC grants the channel. The attempt goes on the air
-	// after its exchange (OnAttempt) with its actual duration; the
-	// ticket keeps conflicting attempts from slotting in between.
-	var cur *ticket
+	// Each attempt carrier-senses until the MAC grants the channel and
+	// goes on the air after its exchange (OnAttempt) with its actual
+	// duration; the dispatch gate keeps conflicting exchanges out for
+	// the job's whole life.
+	granted := false
 	var lastStartS, lastDurS float64
 	nd.msgr.Gate = func(readyS float64) (float64, error) {
-		tk, start, err := n.beginAttempt(ctx, nd, peer.idx, readyS)
-		if err != nil {
-			return 0, err
-		}
-		cur = tk
-		return start, nil
+		start, err := n.beginAttempt(j.ctx, nd, peer, readyS)
+		granted = err == nil
+		return start, err
 	}
 	// After each exchange the band — and with it the true on-air
 	// duration — is known; register the attempt in envelope mode so
@@ -355,24 +346,25 @@ func (nd *Node) sendWith(ctx context.Context, dst DeviceID, rc relayCtx, notBefo
 		if res.FeedbackDecoded {
 			durS = nd.proto.PacketAirtimeS(res.FeedbackBand)
 		}
-		n.commitAttempt(nd, cur, startS, durS)
-		cur = nil
+		n.commitAttempt(nd, peer, startS, durS)
+		granted = false
 		lastStartS, lastDurS = startS, durS
 	}
 	defer func() {
 		nd.msgr.Gate, nd.msgr.OnAttempt = nil, nil
-		if cur != nil {
+		if granted {
 			// The exchange errored between grant and commit; release
-			// the ticket so conflicting attempts are not stranded.
-			n.abortAttempt(cur)
+			// the attempt's worker slot and prune pin.
+			n.abortAttempt(nd, peer)
 		}
 	}()
 
 	var res SendResult
-	if raw != nil {
-		res, err = nd.msgr.SendRaw(xmed, peerTone, *raw, clock)
+	var err error
+	if j.raw != nil {
+		res, err = nd.msgr.SendRaw(xmed, peer.tone, *j.raw, clock)
 	} else {
-		res, err = nd.msgr.Send(xmed, peerTone, first, second, clock)
+		res, err = nd.msgr.Send(xmed, peer.tone, j.first, j.second, clock)
 	}
 	if res.Attempts > 0 && lastDurS > 0 {
 		// Advance past the last attempt's actual airtime.

@@ -9,16 +9,16 @@ import (
 
 // This file is the store-and-forward relay layer over routing
 // (route.go): walking a path hop by hop on the shared virtual
-// timeline. Every hop is a full carrier-sense exchange — the relay
-// contends for the channel through the conflict-graph scheduler like
-// any other transmitter, and its forward cannot start before the
-// packet physically reached it (the previous hop's last attempt left
-// the air, plus a turnaround). SendVia walks its path with blocking
-// sends. Bulk transfer chunks an arbitrary payload into the protocol's
-// 16-bit packets and runs on one engine, bulkPipeline: every hop of
-// every packet is a TxBulk job on the sending relay's transmit queue
-// (txq.go), forwarded by a completion continuation. SendBulkVia keeps
-// one packet in flight and maintains its route under motion;
+// timeline. Every hop is a full carrier-sense exchange queued on the
+// sending relay's transmit queue (txq.go) like any other transmission,
+// and its forward cannot start before the packet physically reached
+// it (the previous hop's last attempt left the air, plus a
+// turnaround). SendVia walks its path one TxNormal job at a time,
+// waiting for each. Bulk transfer chunks an arbitrary payload into the
+// protocol's 16-bit packets and runs on one engine, bulkPipeline:
+// every hop of every packet is a TxBulk job on the sending relay's
+// transmit queue, forwarded by a completion continuation. SendBulkVia
+// keeps one packet in flight and maintains its route under motion;
 // SendBulkViaPipelined keeps two and overlaps them on non-interfering
 // hops. Every packet of every hop runs the full adaptive exchange, so
 // the band re-adapts per packet as the channel evolves — the
@@ -145,14 +145,15 @@ func hopFailed(res SendResult, err error) error {
 	return nil
 }
 
-// bulkRetryFloorS computes the virtual-clock ready floor for
-// retransmission try+1 of a hop send that failed at endS: an
-// exponential backoff in the transmitter's quantum (its adapted
-// airtime when one exists, else the full-band worst case), from the
-// attempt's end — or from the MAC's busy-until time when the channel
-// never granted access, or the node's own clock when the send never
-// reached the air at all.
-func bulkRetryFloorS(nd *Node, endS float64, ferr error, try int) float64 {
+// retryFloorS is the one retransmission-floor rule of the bulk relay
+// and the stream: the virtual-clock ready floor for retransmission
+// try+1 of a send from nd that failed at endS is an exponential backoff
+// quantumS·2^min(try, streamBackoffCap) from the attempt's end — or
+// from the MAC's busy-until time when the channel never granted
+// access, or the node's own clock when the send never reached the air
+// at all. A zero quantumS means the node's backoff quantum (its
+// adapted airtime when one exists, else the full-band worst case).
+func retryFloorS(nd *Node, endS float64, ferr error, try int, quantumS float64) float64 {
 	floor := endS
 	var busy *ChannelBusyError
 	if errors.As(ferr, &busy) && busy.BusyUntilS > floor {
@@ -165,32 +166,30 @@ func bulkRetryFloorS(nd *Node, endS float64, ferr error, try int) float64 {
 	if exp > streamBackoffCap {
 		exp = streamBackoffCap
 	}
-	return floor + nd.backoffQuantumS()*float64(int(1)<<exp)
+	if quantumS == 0 {
+		quantumS = nd.backoffQuantumS()
+	}
+	return floor + quantumS*float64(int(1)<<exp)
 }
 
 // SendVia delivers one or two codebook messages along an explicit
 // relay path: path[0] transmits to path[1], which stores and forwards
 // to path[2], and so on, each hop re-entering the carrier-sense MAC
 // on the shared virtual timeline (a relay cannot contend before the
-// packet physically reached it). Stage events carry the hop context
+// packet physically reached it). Each hop is a TxNormal job on its
+// sender's transmit queue, so it gets a TxID and appears on
+// Deliveries. Stage events carry the hop context
 // (StageEvent.Hop/PathHops), so a Trace sees the transfer walk the
 // path in order.
 //
 // Path errors wrap ErrBadPath/ErrUnknownDevice. A hop failure returns
 // a *RelayError naming the hop, wrapping the hop's own error
-// (ErrNoACK, ErrChannelBusy, a cancelled context, ...); the returned
-// RelayResult still describes the hops that ran. Use Route to compute
-// a path, or Node.SendBulk for the automatic bulk flavor. A nil ctx
-// means context.Background().
+// (ErrNoACK, ErrChannelBusy, ErrQueueFull, ErrBadMessage for a bad
+// message set, a cancelled context, ...); the returned RelayResult
+// still describes the hops that ran. Use Route to compute a path, or
+// Node.SendBulk for the automatic bulk flavor. A nil ctx means
+// context.Background().
 func (n *Network) SendVia(ctx context.Context, path []DeviceID, msgs ...uint8) (RelayResult, error) {
-	if len(msgs) < 1 || len(msgs) > 2 {
-		return RelayResult{}, fmt.Errorf("%w: send carries 1 or 2 messages, got %d", ErrBadMessage, len(msgs))
-	}
-	first := msgs[0]
-	second := uint8(NoMessage)
-	if len(msgs) == 2 {
-		second = msgs[1]
-	}
 	nodes, err := n.resolvePath(path)
 	if err != nil {
 		return RelayResult{}, err
@@ -198,8 +197,13 @@ func (n *Network) SendVia(ctx context.Context, path []DeviceID, msgs ...uint8) (
 	out := RelayResult{Path: append([]DeviceID(nil), path...)}
 	hops := len(path) - 1
 	for h := 0; h < hops; h++ {
-		rc := relayCtx{hop: h, pathHops: hops}
-		res, endS, err := nodes[h].sendWith(ctx, path[h+1], rc, 0, nil, first, second)
+		var res SendResult
+		var endS float64
+		handle, err := nodes[h].enqueue(ctx, TxJob{Dst: path[h+1], Msgs: msgs, Priority: TxNormal}, relayCtx{hop: h, pathHops: hops})
+		if err == nil {
+			<-handle.done
+			res, endS, err = handle.res, handle.endS, handle.err
+		}
 		out.Hops = append(out.Hops, res)
 		out.Attempts += res.Attempts
 		if ferr := hopFailed(res, err); ferr != nil {
@@ -559,7 +563,7 @@ func (tr *bulkPipeline) hopDone(hop, p int, chunk [2]byte, padded bool) func(TxD
 			try := tr.hopTries[p]
 			tr.hopTries[p] = try + 1
 			tr.out.Retries++
-			tr.enqueueHopLocked(hop, p, bulkRetryFloorS(tr.nodes[hop], d.EndS, ferr, try))
+			tr.enqueueHopLocked(hop, p, retryFloorS(tr.nodes[hop], d.EndS, ferr, try, 0))
 		case ferr != nil:
 			tr.outstanding--
 			tr.recordFailureLocked(p, hop, ferr)

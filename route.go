@@ -12,8 +12,8 @@ import (
 // hundreds of meters of deployment — make relaying the obvious scaling
 // move. Routing runs entirely above the MAC: a chosen path is walked
 // hop by hop by the relay layer (relay.go), and every hop re-enters
-// the carrier-sense MAC and the conflict-graph scheduler like any
-// other Send.
+// the transmit queue's dispatch gate and the carrier-sense MAC like
+// any other Send.
 //
 // The link graph is the *audibility* graph: a directed edge exists
 // between two nodes exactly when they sit within the carrier-sense

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Benchmarks for the scaled hot paths: ticket admission and route
-// builds at 60, 500 and 2000 nodes. The companion alloc-bound tests
+// Benchmarks for the scaled hot paths: transmit-queue admission and
+// route builds at 60, 500 and 2000 nodes. The companion alloc-bound tests
 // pin that per-operation allocation counts stay flat — independent of
 // node count — so a regression back to O(N) work per admission shows
 // up as a count jump, not just a timing drift.
@@ -32,6 +32,22 @@ func benchPair(net *Network, rng *rand.Rand) (int, int) {
 	}
 }
 
+// admitOnce enqueues one uncontended job on (tx, rx), runs the
+// dispatch gate's decision on it and resolves it — admission without
+// an exchange behind it.
+func admitOnce(tb testing.TB, net *Network, tx, rx int) {
+	net.tx.mu.Lock()
+	defer net.tx.mu.Unlock()
+	if _, err := net.txEnqueueLocked(net.order[tx], net.order[rx], TxNormal, 0, nil, 0, NoMessage, relayCtx{}, nil, nil, nil); err != nil {
+		tb.Fatal(err)
+	}
+	admitted := net.txAdmitLocked()
+	if len(admitted) != 1 {
+		tb.Fatalf("gate admitted %d jobs, want the one uncontended job", len(admitted))
+	}
+	net.txRetireLocked(admitted[0], SendResult{}, 0, nil)
+}
+
 func BenchmarkSchedulerAdmission(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -41,10 +57,7 @@ func BenchmarkSchedulerAdmission(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.mu.Lock()
-				tk := net.registerTicketLocked(tx, rx)
-				net.resolveLocked(tk)
-				net.mu.Unlock()
+				admitOnce(b, net, tx, rx)
 			}
 		})
 	}
@@ -72,9 +85,9 @@ func BenchmarkRouteBuild(b *testing.B) {
 }
 
 // TestAdmissionAllocBound pins the per-admission allocation count at
-// 2000 nodes: registering and resolving an uncontended ticket must
-// cost a handful of allocations (ticket, channel, slice slack) — not
-// anything proportional to the population.
+// 2000 nodes: enqueueing, admitting and resolving an uncontended job
+// must cost a handful of allocations (job, handle, channel, context,
+// scan slices) — not anything proportional to the population.
 func TestAdmissionAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -83,10 +96,7 @@ func TestAdmissionAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tx, rx := benchPair(net, rng)
 	allocs := testing.AllocsPerRun(200, func() {
-		net.mu.Lock()
-		tk := net.registerTicketLocked(tx, rx)
-		net.resolveLocked(tk)
-		net.mu.Unlock()
+		admitOnce(t, net, tx, rx)
 	})
 	if allocs > 16 {
 		t.Fatalf("admission costs %.1f allocs at 2000 nodes, want <= 16", allocs)

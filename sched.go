@@ -7,41 +7,34 @@ import (
 	"aquago/internal/mac"
 )
 
-// This file is the network's conflict-graph exchange scheduler.
+// This file is the network's per-attempt MAC step and its
+// virtual-time bookkeeping.
 //
-// PR 2 serialized every Node.Send under one network-wide lock: correct,
-// but one exchange at a time regardless of geometry, wasting the
-// multi-core experiment substrate. The scheduler replaces that critical
-// section with per-attempt *tickets* ordered by a monotonic grant
-// sequence. Two tickets conflict when their exchanges could interact —
-// they share a node, or (with a finite carrier-sense range) any
-// cross-pair distance is within that range, which bounds both carrier
-// sense and waveform audibility. A ticket runs its exchange only after
-// every conflicting earlier ticket has resolved (committed or aborted),
-// so:
+// Ordering lives in one place: the transmit queue's dispatch gate
+// (txq.go). Every send — SendAsync, Enqueue, the blocking Send and
+// SendVia, the bulk relay and the stream — is a queued job, and a job
+// dispatches only when no live job that could interfere with it exists
+// (inflight, or queued ahead of it). Two jobs interfere when they share
+// a node, or (with a finite carrier-sense range) any cross-pair
+// distance is within that range, which bounds both carrier sense and
+// waveform audibility. Hence:
 //
-//   - conflicting exchanges execute in deterministic grant order: the
-//     carrier sense each grant consults, and (in waveform mode) the
-//     interference each receive window hears, are exactly the committed
-//     traffic of its predecessors, independent of worker count;
+//   - conflicting exchanges run one at a time in deterministic
+//     (priority, enqueue-sequence) order: the carrier sense each grant
+//     consults, and (in waveform mode) the interference each receive
+//     window hears, are exactly the committed traffic of its
+//     predecessors, independent of worker count;
 //   - non-conflicting exchanges hold no common state — disjoint link
 //     objects, mutually inaudible waves, untouched scoped frontiers —
-//     and run concurrently on the worker slots.
+//     and run concurrently on the worker slots;
+//   - each node is an endpoint of at most one inflight job, since two
+//     jobs sharing a node conflict: one radio per device.
 //
-// Admission is sharded spatially. A ticket's conflict edges are
-// computed once, at registration: every unresolved earlier ticket is
-// tested against it (a shared node, or any cross-pair distance within
-// the carrier-sense range) and the edges are recorded both ways — the
-// earlier ticket remembers whom it blocks, the later one counts how
-// many grants it still waits for. A waiting ticket parks on its own
-// ready channel, closed exactly when its last blocking predecessor
-// resolves, so a resolution wakes only the tickets it actually
-// unblocks: distant pods admit grants without ever signalling — or
-// being woken by — each other, where a single network-wide condition
-// variable used to broadcast every resolution to every waiter and
-// have each re-scan the whole unresolved set.
+// Each attempt of a dispatched job passes beginAttempt: bump past the
+// node's scoped frontier, carrier-sense until the MAC grants, claim a
+// worker slot; commitAttempt or abortAttempt then releases it.
 //
-// Virtual-time causality, formerly one global commit frontier, is now
+// Virtual-time causality, formerly one global commit frontier, is
 // scoped per node: a grant at start s pushes the frontier of every node
 // that could have heard it (within carrier-sense range — the spatial
 // grid's audibility adjacency, not a scan of all nodes) to s + one
@@ -53,36 +46,16 @@ import (
 // a transmission is never dropped while some node could yet hear it
 // busy or collide with it.
 
-// ticket is one granted-or-pending transmission attempt in the
-// scheduler. All fields are guarded by Network.mu except ready, which
-// is closed under mu and received from outside it.
-type ticket struct {
-	seq     uint64
-	tx, rx  int
-	granted bool
-	startS  float64
-	done    bool
-	// waits counts unresolved earlier conflicting tickets; the
-	// attempt may run once it reaches zero. blocks lists the later
-	// tickets this one must wake on resolution — the precomputed
-	// conflict edge list, fixed at registration (tickets with smaller
-	// sequence numbers all exist by then, so the edge set is complete).
-	waits  int
-	blocks []*ticket
-	// ready is closed when waits reaches zero (at registration for a
-	// conflict-free ticket).
-	ready chan struct{}
-}
-
 // pruneEvery throttles the envelope/wave log prune: the minimum-bound
-// scan is O(nodes), so running it once per admitted batch instead of
-// once per attempt keeps admission O(conflict degree) at thousands of
-// nodes. Prune only ever drops provably inert transmissions, so the
+// scan is O(nodes), so running it once per batch of attempts instead
+// of once per attempt keeps each attempt's bookkeeping O(audible
+// neighbors) at thousands of nodes. Prune only ever drops provably inert transmissions, so the
 // schedule of pruning cannot change any result — only peak memory.
 const pruneEvery = 32
 
-// SchedulerStats reports what the conflict-graph scheduler has done so
-// far — primarily how much exchange-level parallelism geometry allowed.
+// SchedulerStats reports what the dispatch gate and the per-attempt
+// MAC step have done so far — primarily how much exchange-level
+// parallelism geometry allowed.
 type SchedulerStats struct {
 	// Granted counts MAC-granted transmission attempts.
 	Granted int
@@ -94,11 +67,11 @@ type SchedulerStats struct {
 	// WithExchangeProbe); AirtimeS over elapsed virtual time is the
 	// offered channel utilization.
 	AirtimeS float64
-	// ConflictEdges counts the blocking edges the admission gate
-	// recorded between coexisting tickets — the serialization the
-	// geometry actually demanded. Like MaxConcurrent it is a
-	// wall-clock observation (it depends on which attempts happened to
-	// coexist), so it is not deterministic run to run.
+	// ConflictEdges counts dispatch-gate holds: queued jobs the gate
+	// held back, at least once, behind a conflicting live job — the
+	// serialization the geometry actually demanded. Like MaxConcurrent
+	// it is a wall-clock observation (it depends on which jobs happened
+	// to coexist), so it is not deterministic run to run.
 	ConflictEdges int
 	// MaxConcurrent is the peak number of exchanges that were running
 	// simultaneously on worker slots. Unlike the counters above it is a
@@ -143,100 +116,6 @@ func (n *Network) interferes(a1, b1, a2, b2 int) bool {
 	return false
 }
 
-// registerTicketLocked creates the next-sequence ticket for an
-// exchange on (tx, rx) and records its conflict edges against every
-// unresolved ticket — all earlier, since the sequence is handed out
-// here. The edge list never needs recomputing: later tickets register
-// their own edges, and resolution only removes them.
-func (n *Network) registerTicketLocked(tx, rx int) *ticket {
-	tk := &ticket{seq: n.gateSeq, tx: tx, rx: rx, ready: make(chan struct{})}
-	n.gateSeq++
-	for _, u := range n.tickets {
-		if n.interferes(u.tx, u.rx, tk.tx, tk.rx) {
-			u.blocks = append(u.blocks, tk)
-			tk.waits++
-			n.stats.ConflictEdges++
-		}
-	}
-	n.tickets = append(n.tickets, tk)
-	if tk.waits == 0 {
-		close(tk.ready)
-	}
-	return tk
-}
-
-// rewireTicketsLocked recomputes the conflict edges of coexisting
-// tickets after node moved's position epoch: every unresolved ticket
-// pair with the mover at an endpoint is re-tested against interferes
-// at the new geometry, gaining the edge it now needs or dropping the
-// one it no longer does (waking the blocked ticket when that was its
-// last). Pairs not touching the mover keep their distances and their
-// edges.
-//
-// Admission is monotone: a ticket whose ready channel already closed
-// keeps its admission even if the move creates a conflict with an
-// earlier ticket — a closed channel cannot re-arm, and its waiter may
-// already be past the gate. That is the honest semantics of moving
-// while exchanges are in flight (a radio cannot un-hear a grant), and
-// it is never exercised at quiescent points — move between transfers
-// and every coexisting ticket set is empty. n.tickets holds only
-// unresolved tickets in ascending sequence order, so the scan is a
-// pure function of ticket state and geometry. Callers hold n.mu.
-func (n *Network) rewireTicketsLocked(moved int) {
-	for ui, u := range n.tickets {
-		for _, t := range n.tickets[ui+1:] {
-			if u.tx != moved && u.rx != moved && t.tx != moved && t.rx != moved {
-				continue
-			}
-			want := n.interferes(u.tx, u.rx, t.tx, t.rx)
-			has := -1
-			for i, b := range u.blocks {
-				if b == t {
-					has = i
-					break
-				}
-			}
-			switch {
-			case want && has < 0 && t.waits > 0:
-				// A new conflict — but only for tickets still parked
-				// (waits > 0): an admitted ticket's ready channel is
-				// closed and cannot block again (see above).
-				u.blocks = append(u.blocks, t)
-				t.waits++
-				n.stats.ConflictEdges++
-			case !want && has >= 0:
-				u.blocks = append(u.blocks[:has], u.blocks[has+1:]...)
-				t.waits--
-				if t.waits == 0 {
-					close(t.ready)
-				}
-			}
-		}
-	}
-}
-
-// resolveLocked removes tk from the unresolved set and wakes exactly
-// the tickets its resolution unblocks.
-func (n *Network) resolveLocked(tk *ticket) {
-	tk.done = true
-	for i, u := range n.tickets {
-		if u == tk {
-			n.tickets = append(n.tickets[:i], n.tickets[i+1:]...)
-			break
-		}
-	}
-	for _, b := range tk.blocks {
-		if b.done {
-			continue // abandoned while waiting (context cancelled)
-		}
-		b.waits--
-		if b.waits == 0 {
-			close(b.ready)
-		}
-	}
-	tk.blocks = nil
-}
-
 // bumpFrontierLocked advances the scoped commit frontier of every node
 // that could have heard a transmission from node x: its next attempt
 // may not start before fS. The audibility adjacency bounds the walk to
@@ -252,56 +131,26 @@ func (n *Network) bumpFrontierLocked(x int, fS float64) {
 	})
 }
 
-// nodeBoundsLocked returns, per node index, the earliest virtual time
-// that node could still open a receive window, poll carrier sense, or
-// start a transmission at: max(own clock, scoped frontier), pinned by
-// granted-but-uncommitted attempts (both endpoints of an attempt open
-// windows from its start).
-func (n *Network) nodeBoundsLocked() []float64 {
-	bounds := make([]float64, len(n.order))
-	for i, nd := range n.order {
-		b := nd.clockS
-		if f := n.frontier[i]; f > b {
-			b = f
-		}
-		bounds[i] = b
-	}
-	for _, tk := range n.tickets {
-		if !tk.granted {
-			continue
-		}
-		if tk.startS < bounds[tk.tx] {
-			bounds[tk.tx] = tk.startS
-		}
-		if tk.startS < bounds[tk.rx] {
-			bounds[tk.rx] = tk.startS
-		}
-	}
-	return bounds
-}
-
 // pruneLocked folds the envelope ledger and drops stale wave-bank
-// samples at the global minimum bound. Both logs must use the global
-// minimum: collision accounting is range-independent (any node still
-// at a low virtual time may yet overlap old packets), and a wave's
-// audibility window is opened by *transmitters* — any lagging node may
-// address an in-range receiver of the wave, whose windows then sit in
-// that receiver's virtual past. A deliberately idle, out-of-range node
-// therefore pins both ledgers until it advances (sends, or hears an
-// in-range grant); that is the honest cost of scoped timelines, and it
-// clears the moment the laggard participates. Under the common
-// configurations — unlimited carrier-sense range, or islands whose
-// nodes all carry traffic — every bound advances and both logs stay
-// bounded.
+// samples at the global minimum bound: the earliest virtual time any
+// node could still open a receive window, poll carrier sense, or start
+// a transmission at — max(own clock, scoped frontier), pinned by a
+// granted-but-uncommitted attempt (both endpoints open windows from
+// its start). Both logs must use the global minimum: collision
+// accounting is range-independent (any node still at a low virtual
+// time may yet overlap old packets), and a wave's audibility window is
+// opened by *transmitters* — any lagging node may address an in-range
+// receiver of the wave, whose windows then sit in that receiver's
+// virtual past. A deliberately idle, out-of-range node therefore pins
+// both ledgers until it advances (sends, or hears an in-range grant);
+// that is the honest cost of scoped timelines, and it clears the
+// moment the laggard participates. Under the common configurations —
+// unlimited carrier-sense range, or islands whose nodes all carry
+// traffic — every bound advances and both logs stay bounded.
 func (n *Network) pruneLocked() {
-	if len(n.order) == 0 {
-		return
-	}
 	horizon := math.Inf(1)
-	for _, b := range n.nodeBoundsLocked() {
-		if b < horizon {
-			horizon = b
-		}
+	for i, nd := range n.order {
+		horizon = min(horizon, max(nd.clockS, n.frontier[i]), nd.pinS)
 	}
 	if math.IsInf(horizon, 1) {
 		return
@@ -323,35 +172,18 @@ func (n *Network) maybePruneLocked() {
 	n.pruneLocked()
 }
 
-// beginAttempt is the per-attempt gate: it registers a ticket with its
-// precomputed conflict edges, parks on the ticket's own ready channel
-// until every conflicting earlier attempt has resolved (distant
-// attempts share no edges and never wake each other), bumps the
-// attempt past the node's scoped frontier, prunes the logs, runs the
-// carrier-sense MAC, and — once granted — claims a worker slot. On
-// success the caller MUST later resolve the ticket through
-// commitAttempt or abortAttempt.
-func (n *Network) beginAttempt(ctx context.Context, nd *Node, peer int, readyS float64) (*ticket, float64, error) {
-	n.mu.Lock()
-	tk := n.registerTicketLocked(nd.idx, peer)
-	n.mu.Unlock()
-
-	select {
-	case <-tk.ready:
-	case <-ctx.Done():
-		n.mu.Lock()
-		if !tk.done {
-			n.resolveLocked(tk)
-		}
-		n.mu.Unlock()
-		return nil, 0, ctx.Err()
-	}
-
+// beginAttempt is one attempt of a dispatched job (nd transmits to
+// peer): it bumps the attempt past the node's scoped frontier, prunes
+// the logs, runs the carrier-sense MAC, pins both endpoints at the
+// granted start, and claims a worker slot. The dispatch gate already
+// excludes every conflicting exchange for the job's whole life, so the
+// attempt never waits on another. On success the caller MUST later
+// release it through commitAttempt or abortAttempt.
+func (n *Network) beginAttempt(ctx context.Context, nd, peer *Node, readyS float64) (float64, error) {
 	n.mu.Lock()
 	if err := ctx.Err(); err != nil {
-		n.resolveLocked(tk)
 		n.mu.Unlock()
-		return nil, 0, err
+		return 0, err
 	}
 	if f := n.frontier[nd.idx]; readyS < f {
 		readyS = f
@@ -369,25 +201,24 @@ func (n *Network) beginAttempt(ctx context.Context, nd *Node, peer int, readyS f
 		return n.med.BusyAt(nd.idx, tS)
 	}, readyS, quantum, n.cfg.accessDeadlineS)
 	if !granted {
-		n.resolveLocked(tk)
 		n.mu.Unlock()
-		return nil, 0, &ChannelBusyError{BusyUntilS: start, DeadlineS: n.cfg.accessDeadlineS}
+		return 0, &ChannelBusyError{BusyUntilS: start, DeadlineS: n.cfg.accessDeadlineS}
 	}
-	tk.granted, tk.startS = true, start
+	nd.pinS, peer.pinS = start, start
 	n.stats.Granted++
 	n.bumpFrontierLocked(nd.idx, start+mac.SenseIntervalS)
 	n.mu.Unlock()
 
 	// Claim a worker slot outside the lock so running exchanges can
-	// commit (and conflicting gates can wait) meanwhile. A cancelled
-	// context abandons the granted attempt before it goes on the air.
+	// commit meanwhile. A cancelled context abandons the granted
+	// attempt before it goes on the air.
 	select {
 	case n.sem <- struct{}{}:
 	case <-ctx.Done():
 		n.mu.Lock()
-		n.resolveLocked(tk)
+		unpinLocked(nd, peer)
 		n.mu.Unlock()
-		return nil, 0, ctx.Err()
+		return 0, ctx.Err()
 	}
 	n.mu.Lock()
 	n.running++
@@ -395,22 +226,27 @@ func (n *Network) beginAttempt(ctx context.Context, nd *Node, peer int, readyS f
 		n.stats.MaxConcurrent = n.running
 	}
 	n.mu.Unlock()
-	return tk, start, nil
+	return start, nil
+}
+
+// unpinLocked releases an attempt's prune pin on both endpoints.
+// Callers hold n.mu.
+func unpinLocked(nd, peer *Node) {
+	nd.pinS, peer.pinS = math.Inf(1), math.Inf(1)
 }
 
 // commitAttempt registers a finished attempt with the envelope medium
-// (actual on-air duration, the node's sensing model) and resolves its
-// ticket, releasing the worker slot.
-func (n *Network) commitAttempt(nd *Node, tk *ticket, startS, durS float64) {
+// (actual on-air duration, the node's sensing model), unpins it and
+// releases the worker slot.
+func (n *Network) commitAttempt(nd, peer *Node, startS, durS float64) {
 	n.mu.Lock()
 	n.med.Transmit(nd.cont.Transmission(nd.idx, startS, durS, nd.seq))
 	nd.seq++
 	nd.adaptAirtimeS = durS
 	n.stats.Committed++
 	n.stats.AirtimeS += durS
-	rxID := n.order[tk.rx].id
 	n.running--
-	n.resolveLocked(tk)
+	unpinLocked(nd, peer)
 	n.mu.Unlock()
 	if probe := n.cfg.exchangeProbe; probe != nil {
 		// Outside n.mu (the probe must not block virtual-time
@@ -418,18 +254,18 @@ func (n *Network) commitAttempt(nd *Node, tk *ticket, startS, durS float64) {
 		// exchanges can race, and probes are promised serial delivery.
 		n.traceMu.Lock()
 		//aqualint:callback-under-lock WithExchangeProbe documents the hook as serialized, quick, and never re-entering the network; traceMu is the leaf of the lock order and n.mu is already released here
-		probe(ExchangeEvent{Tx: nd.id, Rx: rxID, StartS: startS, AirtimeS: durS})
+		probe(ExchangeEvent{Tx: nd.id, Rx: peer.id, StartS: startS, AirtimeS: durS})
 		n.traceMu.Unlock()
 	}
 	<-n.sem
 }
 
-// abortAttempt resolves a granted ticket whose exchange never
-// completed (protocol error mid-exchange), releasing the worker slot.
-func (n *Network) abortAttempt(tk *ticket) {
+// abortAttempt releases a granted attempt whose exchange never
+// completed (protocol error mid-exchange): unpin, free the worker slot.
+func (n *Network) abortAttempt(nd, peer *Node) {
 	n.mu.Lock()
 	n.running--
-	n.resolveLocked(tk)
+	unpinLocked(nd, peer)
 	n.mu.Unlock()
 	<-n.sem
 }

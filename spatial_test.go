@@ -97,8 +97,8 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 	}
 }
 
-// bruteConflicts counts, per model, which unresolved earlier pairs
-// interfere with (tx, rx) under the original definition: shared node,
+// bruteInterferes reports whether exchanges on (a1, b1) and (a2, b2)
+// could interact under the original definition: shared node,
 // unlimited range, or any cross distance within range.
 func bruteInterferes(net *Network, a1, b1, a2, b2 int) bool {
 	if a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2 {
@@ -111,70 +111,6 @@ func bruteInterferes(net *Network, a1, b1, a2, b2 int) bool {
 	p := func(i int) Position { return net.order[i].pos }
 	return p(a1).DistanceTo(p(a2)) <= r || p(a1).DistanceTo(p(b2)) <= r ||
 		p(b1).DistanceTo(p(a2)) <= r || p(b1).DistanceTo(p(b2)) <= r
-}
-
-// TestTicketEdgesMatchBrute registers a random stream of tickets,
-// resolving a random subset as it goes, and checks after every step
-// that each live ticket's wait count, forward edge list and admission
-// readiness equal the brute-force recomputation over all unresolved
-// predecessors — i.e. that targeted wakeups admit exactly when the
-// old broadcast-and-rescan loop would have.
-func TestTicketEdgesMatchBrute(t *testing.T) {
-	for _, cs := range []float64{0, 30} {
-		for seed := int64(1); seed <= 3; seed++ {
-			net := scatterNetwork(t, 24, cs, seed)
-			rng := rand.New(rand.NewSource(seed * 104729))
-			net.mu.Lock()
-			var live []*ticket
-			check := func(step string) {
-				for _, tk := range live {
-					wantWaits := 0
-					for _, u := range live {
-						if u.seq < tk.seq && bruteInterferes(net, u.tx, u.rx, tk.tx, tk.rx) {
-							wantWaits++
-						}
-					}
-					if tk.waits != wantWaits {
-						t.Fatalf("cs=%g seed=%d %s: ticket %d waits=%d, brute %d", cs, seed, step, tk.seq, tk.waits, wantWaits)
-					}
-					ready := false
-					select {
-					case <-tk.ready:
-						ready = true
-					default:
-					}
-					if ready != (wantWaits == 0) {
-						t.Fatalf("cs=%g seed=%d %s: ticket %d ready=%v with %d unresolved conflicts", cs, seed, step, tk.seq, ready, wantWaits)
-					}
-				}
-			}
-			for step := 0; step < 60; step++ {
-				if len(live) > 0 && rng.Intn(3) == 0 {
-					// Resolve the oldest ready ticket, as the scheduler would.
-					victim := live[0]
-					net.resolveLocked(victim)
-					live = live[1:]
-				} else {
-					tx := rng.Intn(len(net.order))
-					rx := rng.Intn(len(net.order) - 1)
-					if rx >= tx {
-						rx++
-					}
-					live = append(live, net.registerTicketLocked(tx, rx))
-				}
-				check(fmt.Sprintf("step %d", step))
-			}
-			for len(live) > 0 {
-				net.resolveLocked(live[0])
-				live = live[1:]
-				check("drain")
-			}
-			if len(net.tickets) != 0 {
-				t.Fatalf("cs=%g seed=%d: %d tickets leaked", cs, seed, len(net.tickets))
-			}
-			net.mu.Unlock()
-		}
-	}
 }
 
 // bruteRouteLocked is the pre-index Dijkstra verbatim: linear

@@ -35,11 +35,12 @@ import (
 // time.Timer — aqualint's wallclock analyzer forbids those in the
 // core — but a NotBeforeS floor on the requeued job: the retransmit
 // becomes ready on the virtual timeline at (previous attempt's end +
-// quantum * 2^tries) and then contends through the MAC and the
-// conflict-graph scheduler like any other send. The quantum is the
-// node's adaptive backoff quantum (the last committed attempt's
-// actual on-air duration, PR 7) when one exists, else the
-// conservative full-band airtime; WithStreamRTO pins it.
+// quantum * 2^tries) and then contends through the dispatch gate and
+// the MAC like any other send. The quantum is the node's adaptive
+// backoff quantum (the last committed attempt's actual on-air
+// duration, PR 7) when one exists, else the conservative full-band
+// airtime; WithStreamRTO pins it. The floor rule is retryFloorS,
+// shared with the bulk relay.
 //
 // Determinism. All ARQ state is guarded by the network's transmit
 // queue lock and mutated only from Write/CloseWrite/Close (program
@@ -508,25 +509,8 @@ func (s *Stream) retryOrFailLocked(seg int, d TxDelivery) {
 		return
 	}
 	s.stats.Retransmits++
-	floor := d.EndS
-	var busy *ChannelBusyError
-	if errors.As(ferr, &busy) && busy.BusyUntilS > floor {
-		floor = busy.BusyUntilS
-	}
-	if floor == 0 {
-		// The job never reached the air; back off from the node's own
-		// clock instead.
-		floor = s.src.ClockS()
-	}
-	exp := s.tries[seg] - 1
-	if exp > streamBackoffCap {
-		exp = streamBackoffCap
-	}
-	quantum := s.cfg.rtoS
-	if quantum == 0 {
-		quantum = s.src.backoffQuantumS()
-	}
-	s.retryQ = append(s.retryQ, streamRetry{seg: seg, floorS: floor + quantum*float64(int(1)<<exp)})
+	floorS := retryFloorS(s.src, d.EndS, ferr, s.tries[seg]-1, s.cfg.rtoS)
+	s.retryQ = append(s.retryQ, streamRetry{seg: seg, floorS: floorS})
 	s.pumpLocked()
 }
 

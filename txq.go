@@ -8,34 +8,36 @@ import (
 	"sync"
 )
 
-// This file is the async transmit subsystem: per-node priority
-// transmit queues drained by per-node transmit daemons, with
-// completions surfaced on a delivery queue. It adopts the classic
-// packet-radio producer/consumer architecture — producers append to a
-// node's queue and return immediately; a daemon owns the radio and
-// contends for the channel — on top of the PR 3/6 conflict-graph
-// scheduler, which already orders interfering exchanges
-// deterministically once they reach the MAC.
+// This file is the transmit subsystem: per-node priority transmit
+// queues drained by per-node transmit daemons, with completions
+// surfaced on a delivery queue. It adopts the classic packet-radio
+// producer/consumer architecture — producers append to a node's queue;
+// a daemon owns the radio and contends for the channel. Every send
+// goes through it: SendAsync and Enqueue return at once, while the
+// blocking Send and each SendVia hop enqueue a TxNormal job and wait
+// for its handle.
 //
-// The determinism story. The scheduler guarantees worker-count
-// invariant results as long as conflicting attempts REGISTER in a
-// deterministic order; a caller issuing blocking sends one at a time
-// gets that for free. Free-running daemons need an equivalent gate at
-// the queue level, and it is this dispatch rule:
+// The determinism story. Results are worker-count invariant as long
+// as conflicting exchanges run in a deterministic order, and this
+// file's dispatch gate is the one place that order is decided:
 //
 //	a queued job may dispatch only when no live job that could
 //	interfere with it — inflight anywhere, or queued with a smaller
 //	(priority, enqueue-sequence) key — exists.
 //
-// Interference is the scheduler's own predicate (Network.interferes
-// over the two jobs' node pairs). Two consequences:
+// Interference is the scheduler's predicate (Network.interferes over
+// the two jobs' node pairs). Two consequences:
 //
 //   - conflicting jobs execute strictly one at a time, in enqueue
 //     order (priority first), so their MAC grants and retries register
 //     in that order regardless of worker count or goroutine timing;
 //   - non-conflicting jobs dispatch freely and run concurrently, and
-//     by the scheduler's own invariant they cannot affect each other's
-//     results.
+//     since they share no node and hear nothing of each other they
+//     cannot affect each other's results.
+//
+// A job holds the gate for its whole life, every MAC attempt
+// included. The gate reads current geometry at each decision, so a
+// position epoch re-gates queued jobs, never inflight ones.
 //
 // Completion processing is atomic under the queue lock: the handle
 // resolves, the delivery is recorded, and any continuation (a
@@ -50,8 +52,8 @@ import (
 //
 // Virtual time stays causal without any queue-level time ordering:
 // every dispatched attempt still passes the scheduler's scoped
-// frontier clamp, so a job dispatched "late" simply contends from its
-// node's current horizon, exactly like a blocking Send.
+// frontier clamp (sched.go), so a job dispatched "late" simply
+// contends from its node's current horizon.
 
 // TxPriority orders jobs within one node's transmit queue: a lower
 // value dispatches first, and jobs of equal priority dispatch FIFO in
@@ -149,9 +151,9 @@ type TxHandle struct {
 	err  error
 }
 
-// TxID returns the handle's network-unique ID (assigned at enqueue,
-// starting at 1; blocking sends stamp 0). Conflicting queued jobs
-// dispatch in (priority, TxID) order.
+// TxID returns the handle's network-unique ID, assigned at enqueue
+// starting at 1 and stamped on the job's StageEvents. Conflicting
+// queued jobs dispatch in (priority, TxID) order.
 func (h *TxHandle) TxID() uint64 { return h.job.seq }
 
 // Done returns a channel closed when the job completes.
@@ -240,6 +242,9 @@ type txJob struct {
 	left      bool // Leave() reached it inflight
 
 	onDone func(TxDelivery)
+	// held marks a job the gate has held back behind a conflicting
+	// live job (counted once in SchedulerStats.ConflictEdges).
+	held bool
 	// after, when non-nil, runs under tx.mu as part of completion
 	// processing — atomically before any newly unblocked job can
 	// dispatch. The bulk relay forwards packets through it.
@@ -336,6 +341,13 @@ func (nd *Node) Enqueue(ctx context.Context, job TxJob) (*TxHandle, error) {
 	if job.Priority < 0 || job.Priority >= numTxPriorities {
 		return nil, fmt.Errorf("%w: unknown transmit priority %d", ErrBadMessage, int(job.Priority))
 	}
+	return nd.enqueue(ctx, job, relayCtx{})
+}
+
+// enqueue is the one enqueue-and-evaluate path behind Enqueue, Send
+// and SendVia's hops: pack the payload, check both ends, queue the job
+// with its hop context rc, and run the dispatch gate.
+func (nd *Node) enqueue(ctx context.Context, job TxJob, rc relayCtx) (*TxHandle, error) {
 	var raw *[2]byte
 	first, second := uint8(0), uint8(NoMessage)
 	switch {
@@ -366,7 +378,7 @@ func (nd *Node) Enqueue(ctx context.Context, job TxJob) (*TxHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := n.txEnqueueLocked(nd, peer, job.Priority, job.NotBeforeS, raw, first, second, relayCtx{}, ctx, job.OnDone, nil)
+	h, err := n.txEnqueueLocked(nd, peer, job.Priority, job.NotBeforeS, raw, first, second, rc, ctx, job.OnDone, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -433,25 +445,27 @@ func txKeyLess(a, b *txJob) bool {
 	return a.seq < b.seq
 }
 
-// txEvaluateLocked is the dispatch gate (tx.mu held): every node head
-// with no live conflicting predecessor — inflight, or queued anywhere
-// with a smaller key — is popped and handed to its node's daemon.
-// Heads dispatched in one pass are mutually non-conflicting by the
-// same rule, so the set dispatched is pass-order independent — but
-// the pass order still decides the sequence dispatched jobs reach
-// their daemons' handoff slots, and a determinism invariant that
-// rests on "cannot matter" is unverifiable. The node set is therefore
-// materialized sorted by device ID, making the scan a function of the
-// network rather than of Go's randomized map layout.
-func (n *Network) txEvaluateLocked() {
+// txAdmitLocked is the dispatch gate's decision (tx.mu held): every
+// node head with no live conflicting predecessor — inflight, or
+// queued anywhere with a smaller key — is popped, marked inflight and
+// returned; a head held back is counted once in
+// SchedulerStats.ConflictEdges. Heads admitted in one pass are
+// mutually non-conflicting by the same rule, so the set admitted is
+// pass-order independent — but the pass order still decides the
+// sequence admitted jobs reach their daemons' handoff slots, and a
+// determinism invariant that rests on "cannot matter" is
+// unverifiable. The node set is therefore materialized sorted by
+// device ID, making the scan a function of the network rather than of
+// Go's randomized map layout.
+func (n *Network) txAdmitLocked() []*txJob {
 	if n.tx.queued == 0 {
-		return
+		return nil
 	}
 	// The interference predicate reads node geometry; n.mu guards the
 	// order table (tx.mu before mu is the global lock order).
 	n.mu.Lock()
 	nodes := n.txQueuedNodesSortedLocked()
-	var dispatch []*txJob
+	var admit []*txJob
 	for _, nd := range nodes {
 		j := nd.txq.head()
 		if j == nil {
@@ -480,12 +494,16 @@ func (n *Network) txEvaluateLocked() {
 				}
 			}
 		}
-		if !blocked {
-			dispatch = append(dispatch, j)
+		switch {
+		case !blocked:
+			admit = append(admit, j)
+		case !j.held:
+			j.held = true
+			n.stats.ConflictEdges++
 		}
 	}
 	n.mu.Unlock()
-	for _, j := range dispatch {
+	for _, j := range admit {
 		nq := j.nd.txq
 		nq.remove(j)
 		if nq.n == 0 {
@@ -494,6 +512,15 @@ func (n *Network) txEvaluateLocked() {
 		n.tx.queued--
 		j.state = txInflight
 		n.tx.inflight = append(n.tx.inflight, j)
+	}
+	return admit
+}
+
+// txEvaluateLocked runs the dispatch gate (tx.mu held) and hands each
+// admitted job to its node's daemon.
+func (n *Network) txEvaluateLocked() {
+	for _, j := range n.txAdmitLocked() {
+		nq := j.nd.txq
 		if !nq.daemonLive {
 			nq.daemonLive = true
 			go n.txDaemon(j.nd)
@@ -523,7 +550,7 @@ func (n *Network) txDaemon(nd *Node) {
 			n.tx.mu.Unlock()
 			continue
 		}
-		res, endS, err := nd.sendWith(j.ctx, j.dst.id, j.rc, j.notB, j.raw, j.first, j.second)
+		res, endS, err := nd.sendWith(j)
 		n.txComplete(j, res, endS, err)
 	}
 }
@@ -535,6 +562,15 @@ func (n *Network) txDaemon(nd *Node) {
 func (n *Network) txComplete(j *txJob, res SendResult, endS float64, err error) {
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
+	n.txRetireLocked(j, res, endS, err)
+	n.txEvaluateLocked()
+	n.txCheckIdleLocked()
+}
+
+// txRetireLocked takes a finished job off the inflight list and
+// finishes it, mapping a context error to ErrNodeLeft (Leave) or
+// ErrTxCancelled (tx.mu held). Callers own gate re-evaluation.
+func (n *Network) txRetireLocked(j *txJob, res SendResult, endS float64, err error) {
 	for i, k := range n.tx.inflight {
 		if k == j {
 			n.tx.inflight = append(n.tx.inflight[:i], n.tx.inflight[i+1:]...)
@@ -549,8 +585,6 @@ func (n *Network) txComplete(j *txJob, res SendResult, endS float64, err error) 
 		}
 	}
 	n.txFinishLocked(j, res, endS, err)
-	n.txEvaluateLocked()
-	n.txCheckIdleLocked()
 }
 
 // txFinishLocked resolves a job's handle, runs its continuation and
@@ -633,11 +667,12 @@ func (n *Network) txCheckIdleLocked() {
 	n.tx.waiters = nil
 }
 
-// Deliveries returns the network-wide delivery queue: every queued
-// job's completion, in completion order, including cancellations and
-// Leave drains. The channel is created on first call (sized by
-// WithDeliveryBuffer) and only carries completions processed after
-// that, so call it before enqueueing. Consume it promptly — a full
+// Deliveries returns the network-wide delivery queue: every job's
+// completion — blocking Send calls and SendVia hops included, since
+// they are queued jobs too — in completion order, including
+// cancellations and Leave drains. The channel is created on first
+// call (sized by WithDeliveryBuffer) and only carries completions
+// processed after that, so call it before enqueueing. Consume it promptly — a full
 // channel stalls delivery (and OnDone callbacks behind it), though
 // never the transmit daemons themselves.
 func (n *Network) Deliveries() <-chan TxDelivery {
@@ -671,19 +706,27 @@ func (n *Network) Flush(ctx context.Context) error {
 }
 
 // Leave departs the node from the network's traffic plane: its queued
-// jobs drain immediately with ErrNodeLeft, its inflight job (if any)
-// is aborted, and every later send from it — or addressed to it —
+// jobs drain immediately with ErrNodeLeft, its inflight job (if any) —
+// a blocking Send's or SendVia hop's included — is aborted with
+// ErrNodeLeft, and every later send from it — or addressed to it —
 // fails with ErrNodeLeft. The node also leaves the routing plane:
 // cached routes relaying through it are invalidated and new routes
-// never pass through a departed node (previously Network.Route kept
-// returning cached paths through departed radios). The node's
-// geometry stays: departed radios do not change the audibility graph
-// other nodes were built on (a diver surfacing does not move the
-// water). Leave is idempotent.
+// never pass through a departed node. The node's geometry stays:
+// departed radios do not change the audibility graph other nodes were
+// built on (a diver surfacing does not move the water). Leave is
+// idempotent.
 func (nd *Node) Leave() {
 	n := nd.net
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
+	n.leaveLocked(nd)
+	n.txEvaluateLocked()
+	n.txCheckIdleLocked()
+}
+
+// leaveLocked marks nd departed, drains its queue and aborts its
+// inflight job (tx.mu held). Callers re-run the dispatch gate.
+func (n *Network) leaveLocked(nd *Node) {
 	n.mu.Lock()
 	if nd.departed {
 		n.mu.Unlock()
@@ -703,6 +746,4 @@ func (nd *Node) Leave() {
 			j.cancel()
 		}
 	}
-	n.txEvaluateLocked()
-	n.txCheckIdleLocked()
 }

@@ -505,3 +505,83 @@ func TestDeliveriesCarryTxIDs(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestBlockingSendIsQueuedJob pins the blocking Send to the transmit
+// queue: its stage events carry its nonzero TxID and its completion
+// lands on Deliveries. Racing a conflicting queued job (both address
+// node 0) it waits its turn at the dispatch gate, so the two never
+// overlap even with free worker slots, and the outcome is the one a
+// single worker gives.
+func TestBlockingSendIsQueuedJob(t *testing.T) {
+	okMsg, _ := aquago.LookupMessage("OK?")
+	upMsg, _ := aquago.LookupMessage("Go up")
+	type outcome struct {
+		Blocking, Queued aquago.SendResult
+		BlockingID       uint64
+		EventIDs         []uint64
+		Delivered        map[uint64]aquago.SendResult
+	}
+	run := func(workers int) (outcome, aquago.SchedulerStats) {
+		var mu sync.Mutex
+		var out outcome
+		net, recv, a, b := buildTriangle(t, 5,
+			aquago.WithNetworkWorkers(workers),
+			aquago.WithNetworkTrace(aquago.TraceFunc(func(ev aquago.StageEvent) {
+				mu.Lock()
+				out.EventIDs = append(out.EventIDs, ev.TxID)
+				mu.Unlock()
+			})))
+		deliveries := net.Deliveries()
+		ctx := context.Background()
+		h, err := b.SendAsync(ctx, recv.ID(), upMsg.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Blocking, err = a.Send(ctx, recv.ID(), okMsg.ID); err != nil {
+			t.Fatalf("blocking send: %v", err)
+		}
+		if out.Queued, err = h.Wait(ctx); err != nil {
+			t.Fatalf("queued send: %v", err)
+		}
+		if err := net.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		out.Delivered = make(map[uint64]aquago.SendResult)
+		for len(out.Delivered) < 2 {
+			select {
+			case d := <-deliveries:
+				out.Delivered[d.TxID] = d.Result
+			case <-time.After(30 * time.Second):
+				t.Fatalf("only %d of 2 deliveries arrived", len(out.Delivered))
+			}
+		}
+		// TxIDs are handed out in enqueue order: the blocking send
+		// enqueued right after the async one.
+		out.BlockingID = h.TxID() + 1
+		return out, net.SchedulerStats()
+	}
+
+	par, st := run(4)
+	if st.MaxConcurrent != 1 {
+		t.Fatalf("conflicting blocking and queued sends overlapped: MaxConcurrent = %d", st.MaxConcurrent)
+	}
+	if len(par.EventIDs) == 0 {
+		t.Fatal("no stage events traced")
+	}
+	for _, id := range par.EventIDs {
+		if id == 0 {
+			t.Fatal("a blocking send's stage event carries TxID 0")
+		}
+	}
+	res, ok := par.Delivered[par.BlockingID]
+	if !ok {
+		t.Fatalf("blocking send (TxID %d) missing from Deliveries: %v", par.BlockingID, par.Delivered)
+	}
+	if !reflect.DeepEqual(res, par.Blocking) {
+		t.Fatalf("delivery %+v differs from Send's result %+v", res, par.Blocking)
+	}
+	ser, _ := run(1)
+	if !reflect.DeepEqual(par, ser) {
+		t.Fatalf("worker count changed the outcome:\nworkers=4: %+v\nworkers=1: %+v", par, ser)
+	}
+}

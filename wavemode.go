@@ -11,14 +11,14 @@ import "aquago/internal/dsp"
 // ambient noise. Each window's direct-signal and summed-interference
 // powers feed the network's SIR probe (WithSIRProbe).
 //
-// The conflict-graph scheduler guarantees that while this exchange
-// runs, no concurrent exchange shares a node with it or sits within
-// carrier-sense range — so the pair links (and every interferer link
-// into a or b) are exclusively ours, and whatever a concurrent
-// out-of-range exchange registers is filtered from our windows by the
-// same range bound. The interference each window hears is therefore
-// exactly the committed traffic of scheduler predecessors,
-// independent of worker count.
+// The transmit queue's dispatch gate guarantees that while this
+// exchange runs, no concurrent exchange shares a node with it or sits
+// within carrier-sense range — so the pair links (and every
+// interferer link into a or b) are exclusively ours, and whatever a
+// concurrent out-of-range exchange registers is filtered from our
+// windows by the same range bound. The interference each window hears
+// is therefore exactly the committed traffic of the gate's
+// predecessors, independent of worker count.
 type waveSlot struct {
 	net      *Network
 	a, b     int
