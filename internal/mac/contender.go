@@ -17,7 +17,10 @@ import (
 //
 // All randomness comes from the contender's own seeded source, so a
 // node's backoff draws are deterministic regardless of what the rest
-// of the network does between its transmissions.
+// of the network does between its transmissions. The source is seeded
+// on the first draw: a contender that never backs off (a node that
+// never transmits, or one that always hears an idle channel) carries
+// no generator state, and the stream is the same either way.
 type Contender struct {
 	cfg Config
 	rng *rand.Rand
@@ -29,7 +32,16 @@ type Contender struct {
 // window and PreambleAware.
 func NewContender(cfg Config) *Contender {
 	cfg = cfg.withDefaults()
-	return &Contender{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Contender{cfg: cfg}
+}
+
+// source returns the contender's random source, seeding it from
+// cfg.Seed on first use.
+func (c *Contender) source() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+	}
+	return c.rng
 }
 
 // Transmission builds the envelope transmission for a granted
@@ -79,7 +91,7 @@ func (c *Contender) Acquire(busy func(tS float64) bool, readyS, durS, maxWaitS f
 				return t, true
 			}
 			// Draw a backoff in whole packet durations.
-			backoffS = float64(1+c.rng.Intn(MaxBackoffPackets)) * quantum
+			backoffS = float64(1+c.source().Intn(MaxBackoffPackets)) * quantum
 			inBackoff = true
 		case heard:
 			// The paper's rule: a busy channel during backoff extends
@@ -116,7 +128,7 @@ func (c *Contender) acquirePPersistent(busy func(tS float64) bool, readyS, maxWa
 			t += SenseIntervalS
 			continue
 		}
-		if c.rng.Float64() <= c.cfg.Persist {
+		if c.source().Float64() <= c.cfg.Persist {
 			return t, true
 		}
 		t += c.cfg.SlotS

@@ -2,6 +2,8 @@ package mac
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"aquago/internal/sim"
@@ -171,5 +173,55 @@ func TestContenderGiveUpReportsBusyUntil(t *testing.T) {
 	}
 	if until > 2.5+2*SenseIntervalS {
 		t.Fatalf("gave up at %g, want within two sense intervals of the deadline", until)
+	}
+}
+
+// TestContenderLazySeedKeepsStream pins the lazily seeded source: a
+// contender built early whose first draw comes after other contenders
+// (one on the same seed) have drawn yields the grants of one built and
+// drawn at once, and those grants follow math/rand seeded with
+// cfg.Seed exactly.
+func TestContenderLazySeedKeepsStream(t *testing.T) {
+	busy := func(tS float64) bool { return tS < 2.0 }
+	grants := func(c *Contender) []float64 {
+		var out []float64
+		ready := 0.0
+		for i := 0; i < 6; i++ {
+			s, ok := c.Acquire(busy, ready, 0.6, 0)
+			if !ok {
+				t.Fatal("unexpected deadline")
+			}
+			out = append(out, s)
+			ready = s + 0.3
+		}
+		return out
+	}
+	for _, persist := range []float64{0, 0.4} {
+		cfg := Config{CarrierSense: true, PacketDurS: 0.6, Persist: persist, Seed: 9}
+		late := NewContender(cfg)
+		for _, seed := range []int64{9, 10, 11} {
+			other := cfg
+			other.Seed = seed
+			grants(NewContender(other))
+		}
+		want := grants(NewContender(cfg))
+		got := grants(late)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("persist %g: late first draw %v, want %v", persist, got, want)
+		}
+	}
+
+	// On an idle channel the p-persistent grant is the first slot whose
+	// draw passes, so it reads the source's stream directly.
+	const p, seed = 0.3, 21
+	rng := rand.New(rand.NewSource(seed))
+	k := 0
+	for rng.Float64() > p {
+		k++
+	}
+	c := NewContender(Config{CarrierSense: true, Persist: p, Seed: seed})
+	start, ok := c.Acquire(func(float64) bool { return false }, 0, 0.6, 0)
+	if want := float64(k) * SenseIntervalS; !ok || math.Abs(start-want) > 1e-9 {
+		t.Fatalf("idle p-persistent grant (%g, %v), want (%g, true) from the seeded stream", start, ok, want)
 	}
 }

@@ -64,7 +64,7 @@ func (m *Modem) EstimateChannel(rx []float64) (*ChannelEstimate, error) {
 		var num complex128
 		var den float64
 		for j := 0; j < PreambleSymbols; j++ {
-			xj := m.zcBins[k] * complex(float64(seq.PreamblePN[j])*txScale, 0)
+			xj := m.tab.zcBins[k] * complex(float64(seq.PreamblePN[j])*txScale, 0)
 			num += dsp.Conj(xj) * ys[j][k]
 			den += dsp.CAbs2(xj)
 		}
@@ -74,7 +74,7 @@ func (m *Modem) EstimateChannel(rx []float64) (*ChannelEstimate, error) {
 		// Residual-based SNR.
 		var sig, resid float64
 		for j := 0; j < PreambleSymbols; j++ {
-			xj := m.zcBins[k] * complex(float64(seq.PreamblePN[j])*txScale, 0)
+			xj := m.tab.zcBins[k] * complex(float64(seq.PreamblePN[j])*txScale, 0)
 			hx := h * xj
 			sig += dsp.CAbs2(hx)
 			d := ys[j][k] - hx
@@ -101,7 +101,7 @@ func (m *Modem) EstimateChannel(rx []float64) (*ChannelEstimate, error) {
 
 // preambleBinScale returns the amplitude applied to each data bin by
 // the preamble's unit-RMS normalization (cached at build time).
-func (m *Modem) preambleBinScale() float64 { return m.preScale }
+func (m *Modem) preambleBinScale() float64 { return m.tab.preScale }
 
 // MinSNRInBand returns the minimum estimated SNR over band b — the
 // metric the paper's channel-stability experiment (Fig 16) tracks.

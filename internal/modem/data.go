@@ -68,7 +68,7 @@ func (m *Modem) ModulateData(bits []int, b Band, opts DataOptions) ([]float64, e
 		prev[i] = 0
 	}
 	for i := b.Lo; i <= b.Hi; i++ {
-		prev[i] = m.trBins[i] // differential reference
+		prev[i] = m.tab.trBins[i] // differential reference
 	}
 	for s := 0; s < nSym; s++ {
 		for i := range bins {
@@ -78,7 +78,7 @@ func (m *Modem) ModulateData(bits []int, b Band, opts DataOptions) ([]float64, e
 			k := b.Lo + j
 			sign := complex(1-2*float64(padded[s*l+j]), 0)
 			if opts.NoDifferential {
-				bins[k] = m.trBins[k] * sign
+				bins[k] = m.tab.trBins[k] * sign
 			} else {
 				bins[k] = prev[k] * sign
 			}
@@ -173,7 +173,7 @@ func (m *Modem) DemodulateData(rx []float64, b Band, nBits int, opts DataOptions
 			k := b.Lo + j
 			var v, mag float64
 			if opts.NoDifferential {
-				expect := hRef[k] * m.trBins[k]
+				expect := hRef[k] * m.tab.trBins[k]
 				v = real(cur[k] * dsp.Conj(expect))
 				mag = math.Sqrt(dsp.CAbs2(cur[k]) * dsp.CAbs2(expect))
 			} else {

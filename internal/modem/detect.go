@@ -94,7 +94,7 @@ func (d *Detector) DetectAll(x []float64) []Detection {
 }
 
 func (d *Detector) detect(x []float64, firstOnly bool) []Detection {
-	pre := d.m.preamble
+	pre := d.m.tab.preamble
 	if len(x) < len(pre) {
 		return nil
 	}

@@ -164,8 +164,8 @@ func TestSynthesizeAnalyzeBandEdges(t *testing.T) {
 					ang := 2 * math.Pi * rng.Float64()
 					bins[i] = complex(math.Cos(ang), math.Sin(ang))
 				}
-				m.plan.synthesize(bins, m.cfg.BinLow(), body)
-				m.plan.analyze(body, m.cfg.BinLow(), nb, got)
+				m.fft().synthesize(bins, m.cfg.BinLow(), body)
+				m.fft().analyze(body, m.cfg.BinLow(), nb, got)
 				for i := range bins {
 					if d := dsp.CAbs2(got[i] - bins[i]); d > 1e-20 {
 						t.Fatalf("spacing %d band %+v: bin %d came back %v, want %v", spacing, b, i, got[i], bins[i])

@@ -11,6 +11,7 @@ package modem
 
 import (
 	"fmt"
+	"sync"
 
 	"aquago/internal/seq"
 )
@@ -145,33 +146,79 @@ func (b Band) Valid(numBins int) bool {
 // FullBand returns the band covering every data subcarrier of cfg.
 func FullBand(cfg Config) Band { return Band{0, cfg.NumBins() - 1} }
 
-// Modem precomputes the transform plan, preamble waveform and training
-// symbols for one Config. Safe for concurrent use only through
-// separate instances (the FFT plan carries scratch buffers).
-type Modem struct {
-	cfg      Config
-	plan     *fftPlan
+// tables is the immutable state one Config determines: the CAZAC
+// constellations and the preamble waveform. It is built once per
+// validated Config and shared, read-only, by every Modem of that
+// Config.
+type tables struct {
 	zcBins   []complex128 // CAZAC values on the data bins (preamble)
 	trBins   []complex128 // CAZAC values on the data bins (training)
 	preamble []float64    // full preamble waveform (8 symbols, no CP)
-	preSym   []float64    // one preamble symbol (body only)
 	preScale float64      // per-bin amplitude after unit-RMS normalization
+}
 
-	// Reusable hot-path buffers. The Modem is single-goroutine by
-	// contract (each worker of the parallel experiment engine owns its
-	// own instance), so the per-symbol modulate/demodulate loops can
-	// recycle these instead of allocating per symbol. Each buffer has
-	// exactly one owner path so they never alias:
+// tableCache maps a validated Config to its *tables. Entries are never
+// evicted; the configurations in use are a handful of numerologies
+// (the public API varies only the spacing, which must divide the band
+// edges), so the cache stays small.
+var tableCache sync.Map
+
+// tablesFor returns the shared tables of a validated cfg, building
+// them on the first request. Two goroutines racing on a new Config
+// may both build; LoadOrStore keeps one, and both builds are equal.
+func tablesFor(cfg Config) *tables {
+	if t, ok := tableCache.Load(cfg); ok {
+		return t.(*tables)
+	}
+	t, _ := tableCache.LoadOrStore(cfg, buildTables(cfg))
+	return t.(*tables)
+}
+
+// buildTables computes a validated cfg's tables from scratch.
+func buildTables(cfg Config) *tables {
+	nb := cfg.NumBins()
+	t := &tables{
+		zcBins: zcForBins(cfg.ZCRoot, nb),
+		trBins: zcForBins(cfg.TrainRoot, nb),
+	}
+	t.buildPreamble(cfg)
+	return t
+}
+
+// Modem is one OFDM modem for a Config: a pointer to the Config's
+// shared read-only tables (preamble, CAZAC bins) plus this instance's
+// mutable scratch (the FFT plan and the per-symbol buffers). Many
+// Modems of one Config share one table set; each instance is
+// single-goroutine, so concurrent users take one Modem each.
+type Modem struct {
+	cfg Config
+	tab *tables
+
+	// Per-instance scratch, each built on first use so a Modem that
+	// never modulates costs only its struct. The per-symbol
+	// modulate/demodulate loops recycle these instead of allocating
+	// per symbol. Each buffer has exactly one owner path so they never
+	// alias:
+	//   plan      — the symbol FFT and its spectrum buffer
 	//   symBins   — trainingSymbolInto's transient constellation
 	//   dataBins  — ModulateData/DemodulateData current-symbol bins
 	//   prevBins  — the differential phase reference
 	//   refSym    — DemodulateData's scaled training reference
 	//   padded    — ModulateData's padded bit grid
+	plan     *fftPlan
 	symBins  []complex128
 	dataBins []complex128
 	prevBins []complex128
 	refSym   []float64
 	padded   []int
+}
+
+// fft returns the modem's symbol FFT plan, built on first use.
+func (m *Modem) fft() *fftPlan {
+	if m.plan == nil {
+		m.plan = newFFTPlan(m.cfg.N())
+	}
+	return m.plan
 }
 
 // scratchBins returns the transient constellation buffer used by
@@ -213,18 +260,14 @@ func (m *Modem) paddedScratch(n int) []int {
 	return m.padded
 }
 
-// New builds a modem for the configuration. It returns an error if
-// the configuration is invalid.
+// New returns a modem for the configuration, sharing the tables of
+// every other modem of the same (validated) configuration. It returns
+// an error if the configuration is invalid.
 func New(cfg Config) (*Modem, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Modem{cfg: cfg, plan: newFFTPlan(cfg.N())}
-	nb := cfg.NumBins()
-	m.zcBins = zcForBins(cfg.ZCRoot, nb)
-	m.trBins = zcForBins(cfg.TrainRoot, nb)
-	m.buildPreamble()
-	return m, nil
+	return &Modem{cfg: cfg, tab: tablesFor(cfg)}, nil
 }
 
 // zcForBins returns a length-nb CAZAC sequence with the given root,
@@ -255,8 +298,9 @@ func (m *Modem) Config() Config { return m.cfg }
 
 // PreambleLen returns the preamble length in samples
 // (PreambleSymbols * N, no cyclic prefixes).
-func (m *Modem) PreambleLen() int { return len(m.preamble) }
+func (m *Modem) PreambleLen() int { return len(m.tab.preamble) }
 
 // Preamble returns the transmit preamble waveform. The slice is
-// shared; callers must not modify it.
-func (m *Modem) Preamble() []float64 { return m.preamble }
+// shared by every modem of the configuration; callers must not modify
+// it.
+func (m *Modem) Preamble() []float64 { return m.tab.preamble }

@@ -71,7 +71,7 @@ func (m *Modem) modulateSymbolInto(bins []complex128, out []float64) error {
 	if len(out) != cp+n {
 		return fmt.Errorf("modem: symbol buffer %d samples, want %d", len(out), cp+n)
 	}
-	m.plan.synthesize(bins, m.cfg.BinLow(), out[cp:])
+	m.fft().synthesize(bins, m.cfg.BinLow(), out[cp:])
 	copy(out[:cp], out[cp+n-cp:]) // cyclic prefix = tail of the body
 	return nil
 }
@@ -95,32 +95,32 @@ func (m *Modem) demodSymbolInto(body []float64, out []complex128) error {
 	if len(out) != m.cfg.NumBins() {
 		return fmt.Errorf("modem: bin buffer %d values, want %d", len(out), m.cfg.NumBins())
 	}
-	m.plan.analyze(body, m.cfg.BinLow(), m.cfg.NumBins(), out)
+	m.fft().analyze(body, m.cfg.BinLow(), m.cfg.NumBins(), out)
 	return nil
 }
 
 // buildPreamble constructs the 8-symbol preamble: one CAZAC-filled
 // OFDM body repeated with the PN sign pattern. Following the paper the
 // preamble symbols carry no cyclic prefix (detection uses sliding
-// segment correlation, not FFT windows).
-func (m *Modem) buildPreamble() {
-	n := m.cfg.N()
+// segment correlation, not FFT windows). It synthesizes with a
+// throwaway plan, since the tables outlive any one Modem.
+func (t *tables) buildPreamble(cfg Config) {
+	n := cfg.N()
 	body := make([]float64, n)
-	m.plan.synthesize(m.zcBins, m.cfg.BinLow(), body)
+	newFFTPlan(n).synthesize(t.zcBins, cfg.BinLow(), body)
 	// Normalize the symbol to unit RMS so transmit power is defined
 	// by the caller's amplitude scaling.
 	rms := dsp.RMS(body)
-	m.preScale = 1
+	t.preScale = 1
 	if rms > 0 {
 		dsp.Scale(body, 1/rms)
-		m.preScale = 1 / rms
+		t.preScale = 1 / rms
 	}
-	m.preSym = body
-	m.preamble = make([]float64, 0, PreambleSymbols*n)
+	t.preamble = make([]float64, 0, PreambleSymbols*n)
 	for s := 0; s < PreambleSymbols; s++ {
 		sign := float64(seq.PreamblePN[s%len(seq.PreamblePN)])
 		for _, v := range body {
-			m.preamble = append(m.preamble, sign*v)
+			t.preamble = append(t.preamble, sign*v)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func (m *Modem) trainingSymbolInto(b Band, out []float64) error {
 		bins[i] = 0
 	}
 	for i := b.Lo; i <= b.Hi; i++ {
-		bins[i] = m.trBins[i]
+		bins[i] = m.tab.trBins[i]
 	}
 	return m.modulateSymbolInto(bins, out)
 }
@@ -157,9 +157,9 @@ func (m *Modem) trainingSymbolInto(b Band, out []float64) error {
 // band b (zero outside). The slice is freshly allocated.
 func (m *Modem) TrainingBins(b Band) []complex128 {
 	bins := make([]complex128, m.cfg.NumBins())
-	for i := b.Lo; i <= b.Hi && i < len(m.trBins); i++ {
+	for i := b.Lo; i <= b.Hi && i < len(m.tab.trBins); i++ {
 		if i >= 0 {
-			bins[i] = m.trBins[i]
+			bins[i] = m.tab.trBins[i]
 		}
 	}
 	return bins
@@ -168,5 +168,5 @@ func (m *Modem) TrainingBins(b Band) []complex128 {
 // PreambleBins returns the CAZAC constellation used by the preamble
 // across all data bins. The slice is freshly allocated.
 func (m *Modem) PreambleBins() []complex128 {
-	return append([]complex128(nil), m.zcBins...)
+	return append([]complex128(nil), m.tab.zcBins...)
 }

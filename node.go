@@ -276,9 +276,9 @@ func (n *Network) peerLocked(nd *Node, dst DeviceID) (*Node, error) {
 // (all attempts went unacknowledged; the returned SendResult still
 // describes them), or — when ctx is cancelled between attempts — an
 // error wrapping both ErrTxCancelled and ctx's error. Like any queued
-// job's, a ctx cancelled while the send still waits in the queue takes
-// effect once the job dispatches. A nil ctx means
-// context.Background().
+// job's, a ctx that ends while the send still waits in the queue
+// withdraws it at once, before it ever reaches the radio. A nil ctx
+// means context.Background().
 func (nd *Node) Send(ctx context.Context, dst DeviceID, msgs ...uint8) (SendResult, error) {
 	h, err := nd.SendAsync(ctx, dst, msgs...)
 	if err != nil {

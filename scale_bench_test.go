@@ -3,6 +3,7 @@ package aquago
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -125,5 +126,69 @@ func TestRouteBuildAllocBound(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("route build costs %.1f allocs at 2000 nodes, want <= 4", allocs)
+	}
+}
+
+// latticeJoin joins device id at the id-th point of a 32-wide square
+// lattice of pitch 20 m: under a 30 m carrier-sense range each node
+// hears its eight lattice neighbours, and IDs sharing an on-air tone
+// (60 apart) sit about 90 m apart.
+func latticeJoin(tb testing.TB, net *Network, id int) {
+	tb.Helper()
+	pos := Position{X: float64(id%32) * 20, Y: float64(id/32) * 20, Z: 2}
+	if _, err := net.Join(DeviceID(id), pos); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestJoinFootprint pins what a joined node retains: its modem shares
+// the configuration's preamble and CAZAC tables, and its FFT scratch
+// and MAC random source wait for its first exchange, so a node that
+// never transmits costs a few KiB, not a modem's worth of tables.
+func TestJoinFootprint(t *testing.T) {
+	const nodes, maxPerNode = 1000, 8 << 10
+	net, err := NewNetwork(Bridge, WithNetworkSeed(5), WithCSRange(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	latticeJoin(t, net, 0) // the shared tables exist before the first reading
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for id := 1; id <= nodes; id++ {
+		latticeJoin(t, net, id)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / nodes
+	t.Logf("a join retains %d B", perNode)
+	if perNode > maxPerNode {
+		t.Fatalf("a join retains %d B, want <= %d", perNode, maxPerNode)
+	}
+}
+
+// TestJoinAllocBound pins a Join's allocation count into a populated
+// network: the node's own objects and its adjacency row, nothing per
+// modem table.
+func TestJoinAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	net, err := NewNetwork(Bridge, WithNetworkSeed(5), WithCSRange(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for ; id < 500; id++ {
+		latticeJoin(t, net, id)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		latticeJoin(t, net, id)
+		id++
+	})
+	t.Logf("a join costs %.1f allocs", allocs)
+	if allocs > 24 {
+		t.Fatalf("a join costs %.1f allocs, want <= 24", allocs)
 	}
 }

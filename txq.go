@@ -205,9 +205,7 @@ func (h *TxHandle) Cancel() {
 	defer n.tx.mu.Unlock()
 	switch h.job.state {
 	case txQueued:
-		n.txCancelQueuedLocked(h.job, fmt.Errorf("%w: cancelled while queued", ErrTxCancelled))
-		n.txEvaluateLocked()
-		n.txCheckIdleLocked()
+		n.txWithdrawLocked(h.job, fmt.Errorf("%w: cancelled while queued", ErrTxCancelled))
 	case txInflight:
 		h.job.cancelled = true
 		h.job.cancel()
@@ -236,8 +234,11 @@ type txJob struct {
 	second uint8
 	rc     relayCtx
 
-	ctx       context.Context
-	cancel    context.CancelFunc
+	ctx    context.Context
+	cancel context.CancelFunc
+	// stopWatch, when non-nil, unregisters the watch that withdraws
+	// the job if the caller's ctx ends while it is still queued.
+	stopWatch func() bool
 	cancelled bool // Cancel() reached it inflight
 	left      bool // Leave() reached it inflight
 
@@ -334,7 +335,9 @@ func (nd *Node) SendAsync(ctx context.Context, dst DeviceID, msgs ...uint8) (*Tx
 // Enqueue appends a transmit job to the node's priority queue and
 // returns immediately with its handle — never blocking: a queue at
 // capacity rejects with ErrQueueFull. ctx governs the job's whole
-// life, queued time included. Jobs of one node dispatch FIFO within
+// life, queued time included: a ctx that ends while the job is queued
+// withdraws it at once, with an error wrapping both ErrTxCancelled and
+// ctx's error, as Cancel would. Jobs of one node dispatch FIFO within
 // each priority; see the package's dispatch-determinism contract in
 // this file's header.
 func (nd *Node) Enqueue(ctx context.Context, job TxJob) (*TxHandle, error) {
@@ -406,6 +409,17 @@ func (n *Network) txEnqueueLocked(nd, dst *Node, pri TxPriority, notBeforeS floa
 	}
 	j.rc.txID = j.seq
 	j.h = &TxHandle{net: n, job: j, done: make(chan struct{})}
+	if ctx.Done() != nil {
+		// A job still queued when its ctx ends leaves the queue at
+		// once rather than waiting for the gate to dispatch it.
+		j.stopWatch = context.AfterFunc(ctx, func() {
+			n.tx.mu.Lock()
+			defer n.tx.mu.Unlock()
+			if j.state == txQueued {
+				n.txWithdrawLocked(j, fmt.Errorf("%w: %w", ErrTxCancelled, ctx.Err()))
+			}
+		})
+	}
 	nd.txq.q[pri] = append(nd.txq.q[pri], j)
 	nd.txq.n++
 	n.tx.queued++
@@ -603,6 +617,9 @@ func (n *Network) txFinishLocked(j *txJob, res SendResult, endS float64, err err
 	}
 	n.txDeliverLocked(d, j.onDone)
 	j.cancel()
+	if j.stopWatch != nil {
+		j.stopWatch()
+	}
 }
 
 // txCancelQueuedLocked completes a still-queued job with err without
@@ -615,6 +632,15 @@ func (n *Network) txCancelQueuedLocked(j *txJob, err error) {
 	}
 	n.tx.queued--
 	n.txFinishLocked(j, SendResult{}, 0, err)
+}
+
+// txWithdrawLocked completes a still-queued job with err and re-runs
+// the dispatch gate behind it (tx.mu held): Cancel and an ended
+// enqueue ctx share it.
+func (n *Network) txWithdrawLocked(j *txJob, err error) {
+	n.txCancelQueuedLocked(j, err)
+	n.txEvaluateLocked()
+	n.txCheckIdleLocked()
 }
 
 // txDeliverLocked appends a completion for the delivery pump. With no

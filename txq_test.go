@@ -215,6 +215,95 @@ func TestTxHandleCancelQueued(t *testing.T) {
 	h2.Cancel() // cancelling a done job is a no-op
 }
 
+// TestTxQueueCtxWithdrawsQueuedJob cancels the ctx of a job queued
+// behind a conflicting inflight one. The queued job must leave the
+// queue at once — its handle resolving while the inflight job is still
+// on the radio — with an error wrapping both ErrTxCancelled and the
+// ctx's error, and it must never transmit.
+func TestTxQueueCtxWithdrawsQueuedJob(t *testing.T) {
+	okMsg, _ := aquago.LookupMessage("OK?")
+	upMsg, _ := aquago.LookupMessage("Go up")
+	net, err := aquago.NewNetwork(aquago.Bridge, aquago.WithNetworkSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a's first stage event parks its exchange until release closes,
+	// holding job A inflight at the dispatch gate.
+	release := make(chan struct{})
+	held := make(chan struct{})
+	var once sync.Once
+	holdA := aquago.TraceFunc(func(aquago.StageEvent) {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	})
+	var bMu sync.Mutex
+	var bEvents []uint64
+	traceB := aquago.TraceFunc(func(ev aquago.StageEvent) {
+		bMu.Lock()
+		bEvents = append(bEvents, ev.TxID)
+		bMu.Unlock()
+	})
+	recv, err := net.Join(0, aquago.Position{X: 0, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := net.Join(1, aquago.Position{X: 5, Z: 1}, aquago.WithNodeTrace(holdA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := net.Join(2, aquago.Position{X: -4, Y: 3, Z: 1}, aquago.WithNodeTrace(traceB))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	hA, err := a.SendAsync(ctx, recv.ID(), okMsg.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	ctxB, cancelB := context.WithCancel(ctx)
+	defer cancelB()
+	hB, err := b.SendAsync(ctxB, recv.ID(), upMsg.ID) // both address node 0: conflicts with A
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelB()
+	select {
+	case <-hB.Done():
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a cancelled queued job waited for the conflicting inflight job")
+	}
+	select {
+	case <-hA.Done():
+		t.Fatal("the inflight job finished while its trace hook was holding it")
+	default:
+	}
+	res, errB := hB.Result()
+	if !errors.Is(errB, aquago.ErrTxCancelled) || !errors.Is(errB, context.Canceled) {
+		t.Fatalf("withdrawn job: err = %v, want ErrTxCancelled wrapping context.Canceled", errB)
+	}
+	if res.Attempts != 0 || hB.EndS() != 0 {
+		t.Fatalf("withdrawn job transmitted: %+v, end %g", res, hB.EndS())
+	}
+
+	close(release)
+	if res, err := hA.Wait(ctx); err != nil || !res.Delivered {
+		t.Fatalf("held job: %+v, %v", res, err)
+	}
+	if err := net.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	bMu.Lock()
+	defer bMu.Unlock()
+	if len(bEvents) != 0 {
+		t.Fatalf("withdrawn job emitted %d stage events", len(bEvents))
+	}
+}
+
 // TestPipelinedBulkConservesBytes runs the pipelined transfer down a
 // 3-hop line and checks the SendBulkVia conservation contract holds
 // packet for packet.
