@@ -91,7 +91,7 @@ func moveRandom(t *testing.T, net *Network, rng *rand.Rand, stepM float64) int {
 	p.X += (rng.Float64()*2 - 1) * stepM
 	p.Y += (rng.Float64()*2 - 1) * stepM
 	p.Z = 1 + rng.Float64()*4
-	if err := nd.SetPosition(p); err != nil && !errors.Is(err, ErrAddressClash) {
+	if err := nd.SetPosition(p); err != nil && !errors.Is(err, ErrAddressClash) && !errors.Is(err, ErrNodeLeft) {
 		t.Fatalf("SetPosition: %v", err)
 	}
 	return i
@@ -111,8 +111,7 @@ func TestAdjacencyMatchesBruteUnderMotion(t *testing.T) {
 					moveRandom(t, net, rng, stepM)
 					net.mu.Lock()
 					for i := range net.order {
-						var got []int
-						net.forEachAudibleLocked(i, func(j int) { got = append(got, j) })
+						got := audibleOf(net, i)
 						want := bruteAudible(net, i)
 						if fmt.Sprint(got) != fmt.Sprint(want) {
 							net.mu.Unlock()
@@ -120,10 +119,10 @@ func TestAdjacencyMatchesBruteUnderMotion(t *testing.T) {
 								cs, stepM, seed, epoch, i, got, want)
 						}
 						if cs > 0 {
-							grid := net.grid.AppendWithin(nil, net.order[i].pos, cs)
+							grid := net.grid.AppendWithin(nil, net.pos[i], cs)
 							var wantG []int
 							for j := range net.order {
-								if net.order[i].pos.DistanceTo(net.order[j].pos) <= cs {
+								if net.pos[i].DistanceTo(net.pos[j]) <= cs {
 									wantG = append(wantG, j)
 								}
 							}
@@ -146,9 +145,11 @@ func TestAdjacencyMatchesBruteUnderMotion(t *testing.T) {
 // routeLocked answers (which reuse any cache entry the epoch's
 // invalidation kept) must equal the brute-force Dijkstra over current
 // geometry — proving noteMoveLocked drops everything stale and
-// nothing it shouldn't. The MinETX case additionally proves every
+// nothing it shouldn't. The MinETX cases additionally prove every
 // surviving cached ETX weight equals a fresh probe of the pair at its
-// current positions.
+// current positions. In the leave cases a node Leaves after each of
+// the first epochs' queries, so warm routes must stop relaying through
+// it; the 100-node MinETX case runs long multi-hop paths.
 func TestRoutesMatchBruteUnderMotion(t *testing.T) {
 	cases := []struct {
 		n      int
@@ -156,25 +157,35 @@ func TestRoutesMatchBruteUnderMotion(t *testing.T) {
 		stepM  float64
 		epochs int
 		policy RoutingPolicy
+		leave  int
+		seeds  int64
 	}{
-		{40, 20, 6, 8, MinHop},
-		{40, 12, 15, 8, MinHop},
-		{10, 20, 8, 4, MinETX},
-		{16, 20, 8, 8, MinETX},
+		{40, 20, 6, 8, MinHop, 0, 2},
+		{40, 12, 15, 8, MinHop, 0, 2},
+		{10, 20, 8, 4, MinETX, 0, 2},
+		{16, 20, 8, 8, MinETX, 0, 2},
+		{40, 20, 6, 8, MinHop, 5, 2},
+		{100, 15, 8, 4, MinETX, 2, 1},
 	}
+	// A pair's weight is a pure function of the pair and its two
+	// positions, and the same in both directions (the product of the
+	// two hop probabilities), so fresh probes are memoized per
+	// unordered pair and geometry: most pairs never move.
+	type probeKey struct {
+		a, b   int
+		pa, pb Position
+	}
+	fresh := map[probeKey]float64{}
 	for _, c := range cases {
-		for seed := int64(1); seed <= 2; seed++ {
+		for seed := int64(1); seed <= c.seeds; seed++ {
 			net := scatterNetwork(t, c.n, c.cs, seed, WithRouting(c.policy))
+			clear(fresh)
 			rng := rand.New(rand.NewSource(seed*57737 + int64(c.n)))
 			for epoch := 0; epoch < c.epochs; epoch++ {
 				// Warm the caches, then move: survivors must still be exact.
 				net.mu.Lock()
 				for trial := 0; trial < 6; trial++ {
-					src := rng.Intn(c.n)
-					dst := rng.Intn(c.n - 1)
-					if dst >= src {
-						dst++
-					}
+					src, dst := livePair(net, rng)
 					got, gotErr := net.routeLocked(src, dst)
 					want, wantErr := bruteRouteLocked(net, src, dst)
 					if (gotErr == nil) != (wantErr == nil) || fmt.Sprint(got) != fmt.Sprint(want) {
@@ -185,20 +196,33 @@ func TestRoutesMatchBruteUnderMotion(t *testing.T) {
 				}
 				if c.policy == MinETX {
 					for key, cached := range net.etxCache {
-						fwd, bwd, err := net.links.PairSNRdB(key[0], key[1])
-						if err != nil {
-							net.mu.Unlock()
-							t.Fatal(err)
+						a, b := min(key[0], key[1]), max(key[0], key[1])
+						pk := probeKey{a, b, net.pos[a], net.pos[b]}
+						w, ok := fresh[pk]
+						if !ok {
+							fwd, bwd, err := net.links.PairSNRdB(a, b)
+							if err != nil {
+								net.mu.Unlock()
+								t.Fatal(err)
+							}
+							w = 1 / (hopProbability(fwd) * hopProbability(bwd))
+							fresh[pk] = w
 						}
-						fresh := 1 / (hopProbability(fwd) * hopProbability(bwd))
-						if cached != fresh {
+						if cached != w {
 							net.mu.Unlock()
 							t.Fatalf("n=%d seed=%d epoch %d: stale ETX cache %v: cached %g, fresh probe %g",
-								c.n, seed, epoch, key, cached, fresh)
+								c.n, seed, epoch, key, cached, w)
 						}
 					}
 				}
+				leaver := -1
+				if epoch < c.leave {
+					leaver, _ = livePair(net, rng)
+				}
 				net.mu.Unlock()
+				if leaver >= 0 {
+					net.order[leaver].Leave()
+				}
 				moveRandom(t, net, rng, c.stepM)
 			}
 		}

@@ -174,11 +174,11 @@ func (n *Network) AdvanceMotion(toS float64) (MotionEpoch, error) {
 	}
 	ep := MotionEpoch{AtS: n.motionClockS}
 	for _, nd := range n.order {
-		if !nd.hasTrack || nd.departed {
+		if !nd.hasTrack || n.departed[nd.idx] {
 			continue
 		}
 		target := nd.track.At(n.motionClockS)
-		if target == nd.pos {
+		if target == n.pos[nd.idx] {
 			continue
 		}
 		if err := n.setPositionLocked(nd, target); err != nil {
@@ -209,7 +209,7 @@ func (nd *Node) SetPosition(p Position) error {
 	n := nd.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if nd.departed {
+	if n.departed[nd.idx] {
 		return fmt.Errorf("%w: node %d", ErrNodeLeft, nd.id)
 	}
 	return n.setPositionLocked(nd, p)
@@ -232,7 +232,7 @@ func (n *Network) setPositionLocked(nd *Node, p Position) error {
 	if !finitePos(p) {
 		return fmt.Errorf("%w: non-finite position %+v", ErrBadTrack, p)
 	}
-	if p == nd.pos {
+	if p == n.pos[nd.idx] {
 		return nil
 	}
 	if other := n.toneClashAtLocked(p, nd.tone, nd.idx); other != nil {
@@ -254,7 +254,7 @@ func (n *Network) setPositionLocked(nd *Node, p Position) error {
 		apply()
 	}
 	n.grid.Move(nd.idx, p)
-	nd.pos = p
+	n.pos[nd.idx] = p
 	oldRow := n.patchAdjacencyLocked(nd.idx)
 	n.noteMoveLocked(nd.idx, oldRow)
 	// Causality: the mover materializes in its new neighborhood *now* —
@@ -262,11 +262,11 @@ func (n *Network) setPositionLocked(nd *Node, p Position) error {
 	// neighbors have already committed (their carrier sense could not
 	// have heard it; it was elsewhere).
 	f := n.frontier[nd.idx]
-	n.forEachAudibleLocked(nd.idx, func(j int) {
+	for _, j := range n.audibleRowLocked(nd.idx) {
 		if n.frontier[j] > f {
 			f = n.frontier[j]
 		}
-	})
+	}
 	n.frontier[nd.idx] = f
 	n.geoEpoch++
 	return nil
@@ -301,13 +301,19 @@ func (n *Network) toneClashAtLocked(pos Position, tone DeviceID, selfIdx int) *N
 // sorted rows in lockstep). It returns the mover's pre-move row, which
 // the route layer needs to find the mover's cached ETX pairs. No-op
 // returning nil in brute-force mode (unlimited carrier-sense range —
-// adjacency is implicit). Callers hold n.mu.
+// adjacency is implicit).
+//
+// The new row is built in rowScratch and the two swap: the mover keeps
+// the new row, and its pre-move storage becomes the scratch, which is
+// what this returns — valid until the next patch. Moves therefore
+// allocate no rows once the scratch has grown to the largest row.
+// Callers hold n.mu.
 func (n *Network) patchAdjacencyLocked(idx int) []int {
 	if n.neighbors == nil {
 		return nil
 	}
-	n.gridScratch = n.grid.AppendWithin(n.gridScratch[:0], n.order[idx].pos, n.cfg.csRangeM)
-	row := make([]int, 0, len(n.gridScratch))
+	n.gridScratch = n.grid.AppendWithin(n.gridScratch[:0], n.pos[idx], n.cfg.csRangeM)
+	row := n.rowScratch[:0]
 	for _, j := range n.gridScratch {
 		if j != idx {
 			row = append(row, j)
@@ -330,7 +336,7 @@ func (n *Network) patchAdjacencyLocked(idx int) []int {
 			k++
 		}
 	}
-	n.neighbors[idx] = row
+	n.neighbors[idx], n.rowScratch = row, old
 	return old
 }
 

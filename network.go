@@ -325,11 +325,22 @@ type Network struct {
 	grid *sim.Grid
 	// neighbors is the audibility adjacency, per node index, ascending
 	// — maintained incrementally at Join from the grid. nil as a whole
-	// when the carrier-sense range is unlimited (brute-force mode).
+	// when the carrier-sense range is unlimited (brute-force mode);
+	// allNodes (0..N-1) is then every node's row (audibleRowLocked).
 	neighbors [][]int
+	allNodes  []int
+	// pos and departed are each node's current position and Leave
+	// state, per node index: Join appends, position epochs
+	// (setPositionLocked) and leaveLocked update in place, so the route
+	// searches read them as dense arrays. A departed node's queued work
+	// drained with ErrNodeLeft, and new sends from or to it are refused.
+	pos      []Position
+	departed []bool
 	// gridScratch is a reusable candidate buffer for grid queries
-	// under mu.
+	// under mu; rowScratch is the spare adjacency row a move builds its
+	// new row in (patchAdjacencyLocked).
 	gridScratch []int
+	rowScratch  []int
 	// frontier is the scoped virtual commit frontier, per node index:
 	// one sense interval past the latest committed transmission start
 	// the node could have heard. Sends resolve in grant order, which
@@ -505,9 +516,7 @@ func (n *Network) Join(id DeviceID, pos Position, opts ...NodeOption) (*Node, er
 		n.gridScratch = n.grid.AppendWithin(n.gridScratch[:0], pos, n.cfg.csRangeM)
 		audible = n.gridScratch
 	} else {
-		for j := range n.order {
-			audible = append(audible, j)
-		}
+		audible = n.allNodes
 	}
 	for _, j := range audible {
 		if other := n.order[j]; other.tone == tone {
@@ -541,7 +550,11 @@ func (n *Network) Join(id DeviceID, pos Position, opts ...NodeOption) (*Node, er
 		for _, j := range row {
 			n.neighbors[j] = append(n.neighbors[j], idx)
 		}
+	} else {
+		n.allNodes = append(n.allNodes, idx)
 	}
+	n.pos = append(n.pos, pos)
+	n.departed = append(n.departed, false)
 	n.frontier = append(n.frontier, 0)
 
 	nd := &Node{
@@ -549,7 +562,6 @@ func (n *Network) Join(id DeviceID, pos Position, opts ...NodeOption) (*Node, er
 		id:       id,
 		tone:     tone,
 		idx:      idx,
-		pos:      pos,
 		trace:    nc.trace,
 		track:    nc.track,
 		hasTrack: nc.trackSet,
@@ -595,21 +607,16 @@ func audibleRangeLabel(csRangeM float64) string {
 	return fmt.Sprintf("carrier-sense range %g m", csRangeM)
 }
 
-// forEachAudibleLocked calls fn with every node index audible from
-// node i (within the carrier-sense range; every other node when the
-// range is unlimited), in ascending order. Callers hold n.mu.
-func (n *Network) forEachAudibleLocked(i int, fn func(j int)) {
+// audibleRowLocked returns the node indices audible from node i, in
+// ascending order: its adjacency row within the carrier-sense range,
+// or, when the range is unlimited, the shared row of every node index
+// — i itself included, which callers skip or find harmless. The row
+// is read-only to callers. Callers hold n.mu.
+func (n *Network) audibleRowLocked(i int) []int {
 	if n.neighbors != nil {
-		for _, j := range n.neighbors[i] {
-			fn(j)
-		}
-		return
+		return n.neighbors[i]
 	}
-	for j := range n.order {
-		if j != i {
-			fn(j)
-		}
-	}
+	return n.allNodes
 }
 
 // Node returns the joined node with the given ID.
@@ -653,8 +660,8 @@ func (n *Network) SimulateContention(tx []*Node, cfg ContentionConfig) Contentio
 	defer n.mu.Unlock()
 	scratch := sim.New(n.env)
 	scratch.CSRangeM = n.cfg.csRangeM
-	for _, nd := range n.order {
-		scratch.AddNode(nd.pos)
+	for _, p := range n.pos {
+		scratch.AddNode(p)
 	}
 	ids := make([]int, len(tx))
 	for i, nd := range tx {

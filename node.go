@@ -78,10 +78,10 @@ type Node struct {
 	// mod 60, unique within carrier-sense audibility (Join enforces
 	// it). For IDs below 60 the tone IS the ID.
 	tone DeviceID
-	idx  int
-	// pos is the node's current position — no longer fixed at Join:
-	// position epochs (motion.go) move it. Guarded by net.mu.
-	pos   Position
+	// idx indexes the network's per-node arrays: order, the current
+	// position (pos) and Leave state (departed), both guarded by
+	// net.mu.
+	idx   int
 	proto *phy.Protocol
 	msgr  *app.Messenger
 	cont  *mac.Contender
@@ -112,9 +112,6 @@ type Node struct {
 	// it replaces the worst-case airtimeS as the MAC backoff quantum
 	// (zero until the node's first commit).
 	adaptAirtimeS float64
-	// departed marks a node that called Leave: its queued work drained
-	// with ErrNodeLeft, and new sends from or to it are refused.
-	departed bool
 	// pinS is the start of this node's granted, not yet committed
 	// attempt (as either endpoint), pinning the log prune; +Inf when
 	// none. One pin suffices: a node is an endpoint of at most one
@@ -150,7 +147,7 @@ func (nd *Node) Index() int { return nd.idx }
 func (nd *Node) Position() Position {
 	nd.net.mu.Lock()
 	defer nd.net.mu.Unlock()
-	return nd.pos
+	return nd.net.pos[nd.idx]
 }
 
 // ClockS returns the node's virtual clock: the time its next
@@ -248,7 +245,7 @@ func (n *Network) peerLocked(nd *Node, dst DeviceID) (*Node, error) {
 	if peer == nd {
 		return nil, fmt.Errorf("%w: node %d cannot pair with itself", ErrBadDeviceID, dst)
 	}
-	if peer.departed {
+	if n.departed[peer.idx] {
 		return nil, fmt.Errorf("%w: destination %d", ErrNodeLeft, dst)
 	}
 	return peer, nil
@@ -303,11 +300,11 @@ func (nd *Node) sendWith(j *txJob) (_ SendResult, endS float64, _ error) {
 	n := nd.net
 	peer := j.dst
 	n.mu.Lock()
-	if nd.departed {
+	if n.departed[nd.idx] {
 		n.mu.Unlock()
 		return SendResult{}, 0, fmt.Errorf("%w: source %d", ErrNodeLeft, nd.id)
 	}
-	if peer.departed {
+	if n.departed[peer.idx] {
 		n.mu.Unlock()
 		return SendResult{}, 0, fmt.Errorf("%w: destination %d", ErrNodeLeft, peer.id)
 	}

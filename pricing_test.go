@@ -71,23 +71,18 @@ func unboundedDistFromLocked(n *Network, src int) ([]float64, error) {
 			continue
 		}
 		done[u] = true
-		var werr error
-		n.forEachAudibleLocked(u, func(v int) {
-			if done[v] || n.order[v].departed || werr != nil {
-				return
+		for _, v := range n.audibleRowLocked(u) {
+			if done[v] || n.departed[v] {
+				continue
 			}
 			w, err := n.hopWeightLocked(u, v)
 			if err != nil {
-				werr = err
-				return
+				return nil, err
 			}
 			if c := dist[u] + w; c < dist[v] {
 				dist[v] = c
 				heap.Push(pq, unboundedItem{cost: c, idx: v})
 			}
-		})
-		if werr != nil {
-			return nil, werr
 		}
 	}
 	return dist, nil
@@ -192,7 +187,7 @@ func checkPricing(t *testing.T, n int, cs float64, policy RoutingPolicy, steps i
 	for i, nd := range epochNet.order {
 		if i%4 == 0 {
 			vx, vy := (rng.Float64()*2-1)*0.3*side, (rng.Float64()*2-1)*0.3*side
-			nd.track = DriftTrack(nd.pos, vx/float64(steps), vy/float64(steps), 0, float64(steps))
+			nd.track = DriftTrack(epochNet.pos[i], vx/float64(steps), vy/float64(steps), 0, float64(steps))
 			nd.hasTrack = true
 		}
 	}
@@ -292,7 +287,7 @@ func TestPricingConcurrentRouteAndMotion(t *testing.T) {
 	net.mu.Lock()
 	for i, nd := range net.order {
 		if i%5 == 0 {
-			nd.track = DriftTrack(nd.pos, 1.5, -1, 0, 40)
+			nd.track = DriftTrack(net.pos[i], 1.5, -1, 0, 40)
 			nd.hasTrack = true
 		}
 	}
@@ -341,11 +336,12 @@ func TestPricingConcurrentRouteAndMotion(t *testing.T) {
 	}
 }
 
-// TestMotionEpochAllocBound pins a motion epoch's allocations to the
-// movers: on a 2,000-node scatter with a warm route cache, an
-// AdvanceMotion epoch moving k nodes allocates O(k) — the movers'
-// adjacency rows and the epoch report — and nothing per node or per
-// edge of the pricing searches.
+// TestMotionEpochAllocBound pins a motion epoch's allocations below
+// its movers: on a 2,000-node scatter with a warm route cache, an
+// AdvanceMotion epoch moving k nodes allocates fewer than k times —
+// the epoch report and a peer row's occasional growth. A mover's new
+// adjacency row reuses scratch storage, and the pricing searches
+// allocate nothing per node or per edge.
 func TestMotionEpochAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -355,7 +351,7 @@ func TestMotionEpochAllocBound(t *testing.T) {
 	net.mu.Lock()
 	for i := 0; i < k; i++ {
 		nd := net.order[i*250]
-		nd.track = DriftTrack(nd.pos, 0.5, 0.25, 0, 1000)
+		nd.track = DriftTrack(net.pos[i*250], 0.5, 0.25, 0, 1000)
 		nd.hasTrack = true
 	}
 	net.mu.Unlock()
@@ -396,7 +392,8 @@ func TestMotionEpochAllocBound(t *testing.T) {
 		}
 	}
 	per := float64(total) / epochs
-	if per > 6*k {
-		t.Fatalf("a %d-mover epoch costs %.1f allocs at 2000 nodes, want <= %d", k, per, 6*k)
+	t.Logf("a %d-mover epoch costs %.1f allocs", k, per)
+	if per > k {
+		t.Fatalf("a %d-mover epoch costs %.1f allocs at 2000 nodes, want <= %d", k, per, k)
 	}
 }

@@ -514,11 +514,11 @@ func (n *Network) rerouteBulkHop(nodes []*Node, h int) ([]*Node, bool, error) {
 		return nodes, false, nil
 	}
 	cur, next := nodes[h], nodes[h+1]
-	if !next.departed && n.audibleLocked(cur.idx, next.idx) {
+	if !n.departed[next.idx] && n.audibleLocked(cur.idx, next.idx) {
 		return nodes, false, nil
 	}
 	dst := nodes[len(nodes)-1]
-	if dst.departed {
+	if n.departed[dst.idx] {
 		return nodes, false, fmt.Errorf("%w: destination %d", ErrNodeLeft, dst.id)
 	}
 	idxPath, err := n.routeLocked(cur.idx, dst.idx)

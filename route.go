@@ -112,7 +112,7 @@ func (n *Network) Route(src, dst DeviceID) ([]DeviceID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDevice, src)
 	}
-	if from.departed {
+	if n.departed[from.idx] {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeLeft, src)
 	}
 	to, err := n.peerLocked(from, dst)
@@ -141,7 +141,7 @@ func (n *Network) audibleLocked(i, j int) bool {
 	if r <= 0 {
 		return true
 	}
-	return n.order[i].pos.DistanceTo(n.order[j].pos) <= r
+	return n.pos[i].DistanceTo(n.pos[j]) <= r
 }
 
 // hopWeightLocked returns the policy cost of the directed hop
@@ -175,21 +175,26 @@ func (n *Network) hopWeightLocked(u, v int) (float64, error) {
 	return w, nil
 }
 
-// routeItem is one heap entry of the deterministic Dijkstra: the
-// labels node idx carried when it was pushed.
+// routeItem is one heap entry of the route searches: its heap key,
+// and the labels node idx carried when it was pushed. routeLocked keys
+// an entry by its cost plus the node's hop floor to the destination;
+// the pricing search keys by distance alone and leaves the labels
+// zero.
 type routeItem struct {
+	key  float64
 	cost float64
 	hops int
 	lenM float64
 	idx  int
 }
 
-// before reports whether a precedes b in the full deterministic
-// selection order (cost, hops, length, index) — a total order, so
-// popping the heap visits nodes exactly as the former global-minimum
-// scan did.
+// before reports whether a precedes b: by key, then in the full
+// deterministic selection order (cost, hops, length, index) — a total
+// order, so the pop sequence is that of any correct priority queue.
 func (a routeItem) before(b routeItem) bool {
 	switch {
+	case a.key != b.key:
+		return a.key < b.key
 	case a.cost != b.cost:
 		return a.cost < b.cost
 	case a.hops != b.hops:
@@ -248,7 +253,7 @@ func (q *routeQueue) pop() routeItem {
 const unreached = math.MaxFloat64
 
 // routeScratch is the route layer's search state, kept on the Network
-// and used under n.mu: both Dijkstras' label arrays, the heap's
+// and used under n.mu: both searches' label arrays, the heap's
 // backing array and the pricing worklist. A search resets what it
 // reads instead of allocating, so neither a route build nor a motion
 // epoch's re-pricing allocates per node or per edge.
@@ -285,18 +290,33 @@ func (s *routeScratch) reset(nn int) {
 	s.queue = s.queue[:0]
 }
 
-// routeLocked runs deterministic Dijkstra on the audibility graph
-// from node index src to dst. Ties break by (cost, hop count, total
-// geometric length, node index), so the chosen path is a pure
+// routeLocked finds the shortest path on the audibility graph from
+// node index src to dst. Ties break by (cost, hop count, total
+// geometric length, predecessor index), so the chosen path is a pure
 // function of geometry and seeds — independent of map iteration
-// order, worker counts and wall-clock interleaving. Extraction uses a
-// lazy-deletion heap keyed by that same order, and relaxation scans
-// only the audibility adjacency (the spatial grid's neighbor rows),
-// so a build costs O(E log V) on the neighbor graph instead of the
-// former O(V^2) scan — the nodes it settles, and the paths it
-// returns, are identical. The labels and heap are the reused
-// routeScratch, so a build allocates only the path it caches.
-// Callers hold n.mu.
+// order, worker counts and wall-clock interleaving.
+//
+// The search is A*: the labels and tie-breaks are Dijkstra's, but the
+// heap pops by key = cost + hopFloorLocked(v, dst), then by (cost,
+// hops, length, index). The floor is consistent: a hop u -> v spans at
+// most the carrier-sense range, so u's floor exceeds v's by at most
+// one, and every hop costs at least 1 under both policies, so a key
+// never falls along an edge. So every node that could still lower v's
+// label, or tie its cost and win the tie-break, pops before v — its
+// key is no larger, and on a tied key its cost is smaller — and each
+// node settles with exactly the label an undirected Dijkstra gives it,
+// dst and its whole predecessor chain included: the paths are
+// identical, but the floor steers the search along the src-dst line
+// instead of settling a disk around src. The argument holds in float64
+// too: MinHop costs and keys are exact small integers, and a MinETX
+// weight exceeds 1 by far more than a rounding of the costs, unless
+// the links are noise-free, where every weight is exactly 1 and the
+// costs are integers again.
+//
+// Relaxation scans the node's audibility row (audibleRowLocked) and
+// reads positions and Leave state from the dense per-index arrays; the
+// labels and heap are the reused routeScratch, so a build allocates
+// only the path it caches. Callers hold n.mu.
 func (n *Network) routeLocked(src, dst int) ([]int, error) {
 	key := [2]int{src, dst}
 	if r, ok := n.routeCache[key]; ok {
@@ -305,21 +325,11 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 	s := &n.routeScratch
 	s.reset(len(n.order))
 	cost, hops, lenM, prev, done := s.cost, s.hops, s.lenM, s.prev, s.done
+	pos, departed := n.pos, n.departed
+	etx := n.cfg.routing == MinETX
 	cost[src], hops[src], lenM[src] = 0, 0, 0
-
-	better := func(c float64, h int, l float64, at int, than int) bool {
-		switch {
-		case c != cost[than]:
-			return c < cost[than]
-		case h != hops[than]:
-			return h < hops[than]
-		case l != lenM[than]:
-			return l < lenM[than]
-		}
-		return at < prev[than]
-	}
 	pq := &s.queue
-	pq.push(routeItem{idx: src})
+	pq.push(routeItem{key: n.hopFloorLocked(src, dst), idx: src})
 	for len(*pq) > 0 {
 		u := pq.pop().idx
 		if done[u] {
@@ -331,32 +341,31 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 			break
 		}
 		done[u] = true
-		var werr error
-		n.forEachAudibleLocked(u, func(v int) {
+		cu, h, lu, pu := cost[u], hops[u]+1, lenM[u], pos[u]
+		for _, v := range n.audibleRowLocked(u) {
 			// A departed node's radio is gone: no path may relay through
 			// it (Leave keeps it in the index structures — the water
 			// doesn't move — but the route layer must not).
-			if done[v] || n.order[v].departed || werr != nil {
-				return
+			if done[v] || departed[v] {
+				continue
 			}
-			w, err := n.hopWeightLocked(u, v)
-			if err != nil {
-				werr = err
-				return
+			c := cu + 1
+			if etx {
+				w, err := n.hopWeightLocked(u, v)
+				if err != nil {
+					return nil, err
+				}
+				c = cu + w
 			}
-			c := cost[u] + w
 			if c > cost[v] {
-				return
+				continue
 			}
-			h := hops[u] + 1
-			l := lenM[u] + n.order[u].pos.DistanceTo(n.order[v].pos)
-			if c < cost[v] || better(c, h, l, u, v) {
-				cost[v], hops[v], lenM[v], prev[v] = c, h, l, u
-				pq.push(routeItem{cost: c, hops: h, lenM: l, idx: v})
+			l := lu + pu.DistanceTo(pos[v])
+			if c == cost[v] && (h > hops[v] || (h == hops[v] && (l > lenM[v] || (l == lenM[v] && u >= prev[v])))) {
+				continue // v's label ties the cost and wins the tie-break
 			}
-		})
-		if werr != nil {
-			return nil, werr
+			cost[v], hops[v], lenM[v], prev[v] = c, h, l, u
+			pq.push(routeItem{key: c + n.hopFloorLocked(v, dst), cost: c, hops: h, lenM: l, idx: v})
 		}
 	}
 	if cost[dst] == unreached {
@@ -400,7 +409,7 @@ func (n *Network) hopFloorLocked(i, j int) float64 {
 	if r <= 0 {
 		return 1
 	}
-	return math.Max(1, math.Ceil(n.order[i].pos.DistanceTo(n.order[j].pos)/r-1e-9))
+	return math.Max(1, math.Ceil(n.pos[i].DistanceTo(n.pos[j])/r-1e-9))
 }
 
 // repriceRoutesLocked deletes every cached route that node idx could
@@ -426,9 +435,12 @@ func (n *Network) hopFloorLocked(i, j int) float64 {
 // one, so every settled distance is bit-identical, nodes it never
 // reaches (unreachable or departed) count as infinitely far, and
 // exactly the entries an unbounded pricing would delete are deleted.
-// If an edge weight cannot be computed (a link refuses to build), the
-// route cache is dropped wholesale — correct, merely slower. Callers
-// hold n.mu.
+// The search keys its heap by distance alone — it has no single goal
+// to steer toward — and, like routeLocked, relaxes each settled node
+// by looping over its audibility row and the dense departed array,
+// with the MinHop weight 1 inline. If an edge weight cannot be
+// computed (a link refuses to build), the route cache is dropped
+// wholesale — correct, merely slower. Callers hold n.mu.
 func (n *Network) repriceRoutesLocked(idx int) {
 	if len(n.routeCache) == 0 {
 		return
@@ -452,7 +464,8 @@ func (n *Network) repriceRoutesLocked(idx int) {
 		return
 	}
 	s.reset(len(n.order))
-	dist, done := s.cost, s.done
+	dist, done, departed := s.cost, s.done, n.departed
+	etx := n.cfg.routing == MinETX
 	dist[idx] = 0
 	pq := &s.queue
 	pq.push(routeItem{idx: idx})
@@ -464,8 +477,8 @@ func (n *Network) repriceRoutesLocked(idx int) {
 	rescan := 0.0
 	for len(*pq) > 0 {
 		it := pq.pop()
-		if it.cost > rescan {
-			if open, rescan = n.priceVerdictsLocked(open, it.cost); len(open) == 0 {
+		if it.key > rescan {
+			if open, rescan = n.priceVerdictsLocked(open, it.key); len(open) == 0 {
 				break
 			}
 		}
@@ -474,26 +487,26 @@ func (n *Network) repriceRoutesLocked(idx int) {
 			continue
 		}
 		done[u] = true
-		var werr error
-		n.forEachAudibleLocked(u, func(v int) {
+		du := dist[u]
+		for _, v := range n.audibleRowLocked(u) {
 			// Departed nodes relay nothing (see routeLocked).
-			if done[v] || n.order[v].departed || werr != nil {
-				return
+			if done[v] || departed[v] {
+				continue
 			}
-			w, err := n.hopWeightLocked(u, v)
-			if err != nil {
-				werr = err
-				return
+			c := du + 1
+			if etx {
+				w, err := n.hopWeightLocked(u, v)
+				if err != nil {
+					n.routeCache = nil
+					s.open = open[:0]
+					return
+				}
+				c = du + w
 			}
-			if c := dist[u] + w; c < dist[v] {
+			if c < dist[v] {
 				dist[v] = c
-				pq.push(routeItem{cost: c, idx: v})
+				pq.push(routeItem{key: c, idx: v})
 			}
-		})
-		if werr != nil {
-			n.routeCache = nil
-			s.open = open[:0]
-			return
 		}
 	}
 	// The heap ran dry: every reachable node is settled, so the rest

@@ -2,6 +2,7 @@ package aquago
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,11 +22,12 @@ func benchPair(net *Network, rng *rand.Rand) (int, int) {
 		tx := rng.Intn(len(net.order))
 		var rx = -1
 		net.mu.Lock()
-		net.forEachAudibleLocked(tx, func(j int) {
-			if rx < 0 {
+		for _, j := range net.audibleRowLocked(tx) {
+			if j != tx {
 				rx = j
+				break
 			}
-		})
+		}
 		net.mu.Unlock()
 		if rx >= 0 {
 			return tx, rx
@@ -190,5 +192,63 @@ func TestJoinAllocBound(t *testing.T) {
 	t.Logf("a join costs %.1f allocs", allocs)
 	if allocs > 24 {
 		t.Fatalf("a join costs %.1f allocs, want <= 24", allocs)
+	}
+}
+
+// TestRouteBuildIsGoalDirected pins the goal-directed build on the
+// 2,000-node scatter: a far route, from the node nearest the box's
+// centre to the one nearest a corner (about 24 hops), must be the
+// reference Dijkstra's path while settling at most half the nodes an
+// undirected search settles first — every node strictly closer to the
+// source than the destination is. Settled nodes are read from the
+// search scratch.
+func TestRouteBuildIsGoalDirected(t *testing.T) {
+	net := scatterNetwork(t, 2000, 30, 17)
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	var hi Position
+	for _, p := range net.pos {
+		hi.X, hi.Y = max(hi.X, p.X), max(hi.Y, p.Y)
+	}
+	nearest := func(x, y float64) int {
+		best, bestD := 0, math.Inf(1)
+		for i, p := range net.pos {
+			if d := math.Hypot(p.X-x, p.Y-y); d < bestD {
+				best, bestD = i, d
+			}
+		}
+		return best
+	}
+	src, dst := nearest(hi.X/2, hi.Y/2), nearest(hi.X, hi.Y)
+	got, err := net.routeLocked(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := 0
+	for _, d := range net.routeScratch.done {
+		if d {
+			settled++
+		}
+	}
+	want, err := bruteRouteLocked(net, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d->%d: path %v != reference %v", src, dst, got, want)
+	}
+	dist, err := unboundedDistFromLocked(net, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closer := 0
+	for _, d := range dist {
+		if d < dist[dst] {
+			closer++
+		}
+	}
+	t.Logf("%d->%d: %d hops; settled %d nodes, an undirected search at least %d", src, dst, len(got)-1, settled, closer)
+	if 2*settled > closer {
+		t.Fatalf("%d->%d: the build settled %d nodes, want at most half of the undirected search's %d", src, dst, settled, closer)
 	}
 }

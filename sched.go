@@ -105,10 +105,9 @@ func (n *Network) interferes(a1, b1, a2, b2 int) bool {
 	if r <= 0 {
 		return true
 	}
-	p := func(i int) Position { return n.order[i].pos }
 	for _, x := range [2]int{a1, b1} {
 		for _, y := range [2]int{a2, b2} {
-			if p(x).DistanceTo(p(y)) <= r {
+			if n.pos[x].DistanceTo(n.pos[y]) <= r {
 				return true
 			}
 		}
@@ -124,11 +123,11 @@ func (n *Network) bumpFrontierLocked(x int, fS float64) {
 	if fS > n.frontier[x] {
 		n.frontier[x] = fS
 	}
-	n.forEachAudibleLocked(x, func(idx int) {
+	for _, idx := range n.audibleRowLocked(x) {
 		if fS > n.frontier[idx] {
 			n.frontier[idx] = fS
 		}
-	})
+	}
 }
 
 // pruneLocked folds the envelope ledger and drops stale wave-bank

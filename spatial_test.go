@@ -56,6 +56,18 @@ func scatterNetwork(t testing.TB, n int, csRangeM float64, seed int64, opts ...N
 	return net
 }
 
+// audibleOf returns node i's audibility row without i itself — what
+// bruteAudible defines. Callers hold net.mu.
+func audibleOf(net *Network, i int) []int {
+	var out []int
+	for _, j := range net.audibleRowLocked(i) {
+		if j != i {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // bruteAudible is the O(N^2) audibility definition the grid adjacency
 // replaced.
 func bruteAudible(net *Network, i int) []int {
@@ -65,7 +77,7 @@ func bruteAudible(net *Network, i int) []int {
 			continue
 		}
 		r := net.cfg.csRangeM
-		if r <= 0 || net.order[i].pos.DistanceTo(net.order[j].pos) <= r {
+		if r <= 0 || net.pos[i].DistanceTo(net.pos[j]) <= r {
 			out = append(out, j)
 		}
 	}
@@ -83,8 +95,7 @@ func TestGridAdjacencyMatchesBrute(t *testing.T) {
 				net := scatterNetwork(t, n, cs, seed)
 				net.mu.Lock()
 				for i := range net.order {
-					var got []int
-					net.forEachAudibleLocked(i, func(j int) { got = append(got, j) })
+					got := audibleOf(net, i)
 					want := bruteAudible(net, i)
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						net.mu.Unlock()
@@ -108,14 +119,14 @@ func bruteInterferes(net *Network, a1, b1, a2, b2 int) bool {
 	if r <= 0 {
 		return true
 	}
-	p := func(i int) Position { return net.order[i].pos }
+	p := func(i int) Position { return net.pos[i] }
 	return p(a1).DistanceTo(p(a2)) <= r || p(a1).DistanceTo(p(b2)) <= r ||
 		p(b1).DistanceTo(p(a2)) <= r || p(b1).DistanceTo(p(b2)) <= r
 }
 
-// bruteRouteLocked is the pre-index Dijkstra verbatim: linear
-// extraction over every node, relaxation over every audible pair.
-// Callers hold net.mu.
+// bruteRouteLocked is the pre-index Dijkstra: linear extraction over
+// every node, relaxation over every audible pair, never relaying
+// through a departed node. Callers hold net.mu.
 func bruteRouteLocked(net *Network, src, dst int) ([]int, error) {
 	const unreached = math.MaxFloat64
 	nn := len(net.order)
@@ -158,7 +169,7 @@ func bruteRouteLocked(net *Network, src, dst int) ([]int, error) {
 		}
 		done[u] = true
 		for v := 0; v < nn; v++ {
-			if done[v] || !net.audibleLocked(u, v) {
+			if done[v] || net.departed[v] || !net.audibleLocked(u, v) {
 				continue
 			}
 			w, err := net.hopWeightLocked(u, v)
@@ -167,7 +178,7 @@ func bruteRouteLocked(net *Network, src, dst int) ([]int, error) {
 			}
 			c := cost[u] + w
 			h := hops[u] + 1
-			l := lenM[u] + net.order[u].pos.DistanceTo(net.order[v].pos)
+			l := lenM[u] + net.pos[u].DistanceTo(net.pos[v])
 			if c < cost[v] || (c == cost[v] && better(c, h, l, u, v)) {
 				cost[v], hops[v], lenM[v], prev[v] = c, h, l, u
 			}
@@ -186,39 +197,78 @@ func bruteRouteLocked(net *Network, src, dst int) ([]int, error) {
 	return path, nil
 }
 
+// livePair draws a random ordered pair of distinct nodes that have
+// not left. Callers hold net.mu.
+func livePair(net *Network, rng *rand.Rand) (int, int) {
+	for {
+		src := rng.Intn(len(net.order))
+		dst := rng.Intn(len(net.order) - 1)
+		if dst >= src {
+			dst++
+		}
+		if !net.departed[src] && !net.departed[dst] {
+			return src, dst
+		}
+	}
+}
+
+// TestRouteMatchesBruteDijkstra pins routeLocked's paths to the brute
+// -force Dijkstra's, byte for byte, under both policies. The leave
+// cases make some nodes Leave first, so both must route around them;
+// the 100-node MinETX case runs long multi-hop paths, where the A*
+// key (cost plus hop floor) would show any float rounding that
+// reorders ties.
 func TestRouteMatchesBruteDijkstra(t *testing.T) {
 	cases := []struct {
 		n      int
 		cs     float64
 		policy RoutingPolicy
+		leave  int
+		// minHops is a floor on the longest path found: the case must
+		// exercise multi-hop routes.
+		minHops int
 	}{
-		{40, 20, MinHop},
-		{120, 15, MinHop},
-		{16, 20, MinETX},
+		{40, 20, MinHop, 0, 0},
+		{120, 15, MinHop, 0, 0},
+		{16, 20, MinETX, 0, 0},
+		{120, 15, MinHop, 20, 3},
+		{100, 15, MinETX, 12, 3},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 2; seed++ {
 			net := scatterNetwork(t, c.n, c.cs, seed, WithRouting(c.policy))
-			net.mu.Lock()
 			rng := rand.New(rand.NewSource(seed * 31337))
+			for _, i := range rng.Perm(c.n)[:c.leave] {
+				net.order[i].Leave()
+			}
+			net.mu.Lock()
+			longest := 0
 			for trial := 0; trial < 40; trial++ {
-				src := rng.Intn(c.n)
-				dst := rng.Intn(c.n - 1)
-				if dst >= src {
-					dst++
-				}
+				src, dst := livePair(net, rng)
 				got, gotErr := net.routeLocked(src, dst)
 				want, wantErr := bruteRouteLocked(net, src, dst)
 				if (gotErr == nil) != (wantErr == nil) {
 					net.mu.Unlock()
-					t.Fatalf("%v n=%d seed=%d %d->%d: err %v vs brute %v", c.policy, c.n, seed, src, dst, gotErr, wantErr)
+					t.Fatalf("%v n=%d leave=%d seed=%d %d->%d: err %v vs brute %v", c.policy, c.n, c.leave, seed, src, dst, gotErr, wantErr)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					net.mu.Unlock()
-					t.Fatalf("%v n=%d seed=%d %d->%d: path %v != brute %v", c.policy, c.n, seed, src, dst, got, want)
+					t.Fatalf("%v n=%d leave=%d seed=%d %d->%d: path %v != brute %v", c.policy, c.n, c.leave, seed, src, dst, got, want)
+				}
+				for _, v := range got {
+					if net.departed[v] {
+						net.mu.Unlock()
+						t.Fatalf("%v n=%d leave=%d seed=%d %d->%d: path %v relays through departed node %d", c.policy, c.n, c.leave, seed, src, dst, got, v)
+					}
+				}
+				if len(got)-1 > longest {
+					longest = len(got) - 1
 				}
 			}
 			net.mu.Unlock()
+			if longest < c.minHops {
+				t.Fatalf("%v n=%d leave=%d seed=%d: longest path %d hops, want >= %d", c.policy, c.n, c.leave, seed, longest, c.minHops)
+			}
 		}
 	}
 }

@@ -236,7 +236,7 @@ func (nd *Node) OpenStream(ctx context.Context, dst DeviceID, opts ...StreamOpti
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
 	n.mu.Lock()
-	if nd.departed {
+	if n.departed[nd.idx] {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: source %d", ErrNodeLeft, nd.id)
 	}

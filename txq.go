@@ -372,7 +372,7 @@ func (nd *Node) enqueue(ctx context.Context, job TxJob, rc relayCtx) (*TxHandle,
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
 	n.mu.Lock()
-	if nd.departed {
+	if n.departed[nd.idx] {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: source %d", ErrNodeLeft, nd.id)
 	}
@@ -754,11 +754,11 @@ func (nd *Node) Leave() {
 // inflight job (tx.mu held). Callers re-run the dispatch gate.
 func (n *Network) leaveLocked(nd *Node) {
 	n.mu.Lock()
-	if nd.departed {
+	if n.departed[nd.idx] {
 		n.mu.Unlock()
 		return
 	}
-	nd.departed = true
+	n.departed[nd.idx] = true
 	n.noteLeaveLocked(nd.idx)
 	n.mu.Unlock()
 	for p := range nd.txq.q {

@@ -149,7 +149,7 @@ func checkDispatchGate(t *testing.T, cs float64, seed int64, stepM float64) {
 	live := func() []*Node {
 		var nodes []*Node
 		for _, nd := range net.order {
-			if !nd.departed {
+			if !net.departed[nd.idx] {
 				nodes = append(nodes, nd)
 			}
 		}
