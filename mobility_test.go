@@ -455,6 +455,68 @@ func TestMoveInvalidatesRoutesIncrementally(t *testing.T) {
 	}
 }
 
+// TestMoveProbesNoLinks pins that a move probes no channel link under
+// MinETX: the mover lands inside the hop-floor ellipse of a warm route,
+// so the route is dropped, but invalidation reads positions only — the
+// ETX cache must hold no pair touching the mover until a route build
+// relaxes its edges, and that build must return the brute-force path.
+func TestMoveProbesNoLinks(t *testing.T) {
+	net, err := NewNetwork(Bridge, WithCSRange(30), WithRouting(MinETX))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// S and T 50 m apart over the arc A-B-C; X idles out of earshot,
+	// then moves between S and T, one hop floor from each.
+	lay := map[DeviceID]Position{
+		0: {X: 0, Z: 1},           // S
+		1: {X: 0, Y: 28, Z: 1},    // A
+		2: {X: 25, Y: 42, Z: 1},   // B
+		3: {X: 50, Y: 28, Z: 1},   // C
+		4: {X: 50, Z: 1},          // T
+		5: {X: 200, Y: 200, Z: 1}, // X
+	}
+	for id := DeviceID(0); id <= 5; id++ {
+		if _, err := net.Join(id, lay[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.Route(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := net.Node(5)
+	if err := x.SetPosition(Position{X: 25, Z: 1}); err != nil {
+		t.Fatal(err)
+	}
+	net.mu.Lock()
+	_, held := net.routeCache[[2]int{0, 4}]
+	var probed [][2]int
+	for key := range net.etxCache {
+		if key[0] == x.idx || key[1] == x.idx {
+			probed = append(probed, key)
+		}
+	}
+	net.mu.Unlock()
+	if held {
+		t.Fatal("S->T survived a move inside its hop-floor ellipse")
+	}
+	if len(probed) > 0 {
+		t.Fatalf("the move probed the mover's links %v", sortKeys(probed))
+	}
+	got, err := net.Route(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.mu.Lock()
+	want, err := bruteRouteLocked(net, 0, 4)
+	net.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("post-move S->T = %v, brute force %v", got, want)
+	}
+}
+
 // TestStaticNetworksUntouchedByMotionLayer pins the byte-identity
 // contract's cheapest observable: a network that never moves reports
 // zero epochs and its bulk transfers never consult the reroute path.

@@ -172,7 +172,7 @@ func (n *Network) AdvanceMotion(toS float64) (MotionEpoch, error) {
 	if toS > n.motionClockS {
 		n.motionClockS = toS
 	}
-	ep := MotionEpoch{AtS: n.motionClockS}
+	ep := MotionEpoch{AtS: n.motionClockS, Moved: make([]DeviceID, 0, n.tracked)}
 	for _, nd := range n.order {
 		if !nd.hasTrack || n.departed[nd.idx] {
 			continue

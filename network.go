@@ -355,16 +355,15 @@ type Network struct {
 	wcAirtimeS float64
 	// Routing caches (route.go): shortest paths (with their policy
 	// cost) and ETX edge weights per node-index pair. Entries stay
-	// valid until the geometry under them changes: a Join invalidates
-	// only the routes the new node could have shortened
-	// (noteJoinLocked), a position epoch drops the mover's ETX entries
-	// and re-prices routes against its new position (noteMoveLocked),
-	// and a Leave drops routes through the departed node
-	// (noteLeaveLocked).
+	// valid until the geometry under them changes: a Join or a position
+	// epoch drops the routes through the node and those its hop floors
+	// admit a shortcut for (noteJoinLocked, noteMoveLocked — a move
+	// also drops the mover's ETX entries), and a Leave drops routes
+	// through the departed node (noteLeaveLocked).
 	routeCache map[[2]int]cachedRoute
 	etxCache   map[[2]int]float64
-	// routeScratch is the route searches' reusable label arrays, heap
-	// and pricing worklist, reset per search (route.go).
+	// routeScratch is the route build's reusable label arrays and
+	// heap, reset per build (route.go).
 	routeScratch routeScratch
 	// Motion layer state (motion.go): geoEpoch counts applied position
 	// epochs (0 = Join-time geometry, the static fast paths), and
@@ -372,6 +371,12 @@ type Network struct {
 	// evaluated at (AdvanceMotion).
 	geoEpoch     uint64
 	motionClockS float64
+	// tracked counts the nodes joined with a MotionTrack: the most an
+	// epoch can move, so AdvanceMotion sizes its report once.
+	tracked int
+	// staggerRng draws the default Join clock stagger, reseeded per
+	// node, so one source serves every join.
+	staggerRng *rand.Rand
 
 	// Per-attempt scheduler state (sched.go).
 	sem     chan struct{}
@@ -431,13 +436,14 @@ func NewNetwork(env Environment, opts ...NetworkOption) (*Network, error) {
 	med.CSRangeM = cfg.csRangeM
 	sampleRate := modem.DefaultConfig().SampleRate
 	n := &Network{
-		env:   env,
-		cfg:   cfg,
-		med:   med,
-		links: sim.NewLinks(med, sampleRate, cfg.seed, false),
-		nodes: make(map[DeviceID]*Node),
-		grid:  sim.NewGrid(cfg.csRangeM),
-		sem:   make(chan struct{}, schedWorkers(cfg.workers)),
+		env:        env,
+		cfg:        cfg,
+		med:        med,
+		links:      sim.NewLinks(med, sampleRate, cfg.seed, false),
+		nodes:      make(map[DeviceID]*Node),
+		grid:       sim.NewGrid(cfg.csRangeM),
+		sem:        make(chan struct{}, schedWorkers(cfg.workers)),
+		staggerRng: rand.New(rand.NewSource(0)),
 	}
 	if cfg.csRangeM > 0 {
 		n.neighbors = [][]int{}
@@ -570,8 +576,11 @@ func (n *Network) Join(id DeviceID, pos Position, opts ...NodeOption) (*Node, er
 	if nc.clockSet {
 		nd.clockS = nc.clockS
 	} else {
-		staggerRng := rand.New(rand.NewSource(n.cfg.seed*40503 + int64(idx)*997 + 11))
-		nd.clockS = staggerRng.Float64() * joinStaggerS
+		n.staggerRng.Seed(n.cfg.seed*40503 + int64(idx)*997 + 11)
+		nd.clockS = n.staggerRng.Float64() * joinStaggerS
+	}
+	if nc.trackSet {
+		n.tracked++
 	}
 	nd.proto = phy.New(m, phy.Options{OnStage: nd.onStage})
 	// The messenger speaks on-air tones, not public IDs: packets carry

@@ -12,10 +12,11 @@ import (
 	"testing"
 )
 
-// Tests for the bounded route pricing (repriceRoutesLocked): the
-// invalidated set must equal what the former unbounded pricing
-// Dijkstra deletes, step for step, and a motion epoch must allocate
-// per mover, not per node.
+// Tests for route invalidation by hop floor (dropBeatableRoutesLocked):
+// the surviving set must be exactly what the floor rule keeps, and a
+// subset of what the exact unbounded pricing Dijkstra keeps — no stale
+// route survives — step for step; and a motion epoch must allocate per
+// mover, not per node.
 
 // unboundedItem and unboundedHeap are the former container/heap route
 // queue, kept as the reference's priority queue.
@@ -51,7 +52,7 @@ func (h *unboundedHeap) Pop() interface{} {
 	return it
 }
 
-// unboundedDistFromLocked is the former pricing Dijkstra verbatim: a
+// unboundedDistFromLocked is the exact pricing Dijkstra: a
 // cost-only search from src run until the heap is empty, returning the
 // policy distance to every node (math.MaxFloat64 where unreachable).
 // Callers hold n.mu.
@@ -144,14 +145,59 @@ func unboundedKeep(t *testing.T, net *Network, before map[[2]int]cachedRoute, id
 	return sortKeys(keep)
 }
 
-// TestPricingMatchesUnbounded interleaves Join, SetPosition,
+// floorKeep returns, sorted, the keys of before that the hop-floor rule
+// keeps for node idx, recomputed from scratch on the network's current
+// positions: drop every route through idx, then every route whose
+// endpoints' hop floors from idx, ceil(distance / range) but at least
+// one, sum to at most its cost.
+func floorKeep(net *Network, before map[[2]int]cachedRoute, idx int) [][2]int {
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	floor := func(v int) float64 {
+		switch r := net.cfg.csRangeM; {
+		case v == idx:
+			return 0
+		case r <= 0:
+			return 1
+		default:
+			return math.Max(1, math.Ceil(net.pos[idx].DistanceTo(net.pos[v])/r-1e-9))
+		}
+	}
+	var keep [][2]int
+	//aqualint:order-independent each entry is tested independently and the result is sorted
+	for k, r := range before {
+		if !pathContains(r.path, idx) && floor(k[0])+floor(k[1]) > r.cost {
+			keep = append(keep, k)
+		}
+	}
+	return sortKeys(keep)
+}
+
+// subsetOf reports whether every key of sorted a is in sorted b.
+func subsetOf(a, b [][2]int) bool {
+	j := 0
+	for _, k := range a {
+		for j < len(b) && b[j] != k {
+			j++
+		}
+		if j == len(b) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// TestPricingFloorRuleIsSound interleaves Join, SetPosition,
 // AdvanceMotion and Route on random scatters under both policies and
 // checks after every step that the surviving route-cache key set is
-// exactly what the unbounded pricing would keep. AdvanceMotion runs on
-// one network; a twin replays the epoch as one SetPosition per mover,
-// in the same order, and is checked against the reference after each
-// mover — the epoch's result must equal the replay's.
-func TestPricingMatchesUnbounded(t *testing.T) {
+// exactly what the hop-floor rule, recomputed from the pre-step
+// snapshot, keeps — and that it is a subset of what the exact unbounded
+// pricing keeps, so no route that a path through the node could beat or
+// tie survives. AdvanceMotion runs on one network; a twin replays the
+// epoch as one SetPosition per mover, in the same order, and is checked
+// after each mover — the epoch's result must equal the replay's.
+func TestPricingFloorRuleIsSound(t *testing.T) {
 	cases := []struct {
 		n      int
 		cs     float64
@@ -167,13 +213,13 @@ func TestPricingMatchesUnbounded(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			name := fmt.Sprintf("%v/n=%d/cs=%g/seed=%d", c.policy, c.n, c.cs, seed)
 			t.Run(name, func(t *testing.T) {
-				checkPricing(t, c.n, c.cs, c.policy, c.steps, seed)
+				checkFloorRule(t, c.n, c.cs, c.policy, c.steps, seed)
 			})
 		}
 	}
 }
 
-func checkPricing(t *testing.T, n int, cs float64, policy RoutingPolicy, steps int, seed int64) {
+func checkFloorRule(t *testing.T, n int, cs float64, policy RoutingPolicy, steps int, seed int64) {
 	epochNet := scatterNetwork(t, n, cs, seed, WithRouting(policy))
 	twin := scatterNetwork(t, n, cs, seed, WithRouting(policy))
 	rng := rand.New(rand.NewSource(seed*7121 + int64(n)))
@@ -201,7 +247,8 @@ func checkPricing(t *testing.T, n int, cs float64, policy RoutingPolicy, steps i
 		}
 	}
 	// checked runs one cache-changing step on the twin and compares the
-	// survivors against the unbounded pricing from node idx.
+	// survivors against the floor rule and the unbounded pricing from
+	// node idx.
 	checked := func(step int, what string, idx int, do func() error) error {
 		t.Helper()
 		before := snapshotRoutes(twin)
@@ -209,10 +256,14 @@ func checkPricing(t *testing.T, n int, cs float64, policy RoutingPolicy, steps i
 		if err != nil {
 			return err
 		}
-		want := unboundedKeep(t, twin, before, idx)
-		if got := routeKeys(twin); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("step %d (%s, node %d): route cache %v, unbounded pricing keeps %v",
+		got := routeKeys(twin)
+		if want := floorKeep(twin, before, idx); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("step %d (%s, node %d): route cache %v, the floor rule keeps %v",
 				step, what, idx, got, want)
+		}
+		if exact := unboundedKeep(t, twin, before, idx); !subsetOf(got, exact) {
+			t.Fatalf("step %d (%s, node %d): route cache %v keeps a route the unbounded pricing drops (it keeps %v)",
+				step, what, idx, got, exact)
 		}
 		return nil
 	}
@@ -340,8 +391,8 @@ func TestPricingConcurrentRouteAndMotion(t *testing.T) {
 // its movers: on a 2,000-node scatter with a warm route cache, an
 // AdvanceMotion epoch moving k nodes allocates fewer than k times —
 // the epoch report and a peer row's occasional growth. A mover's new
-// adjacency row reuses scratch storage, and the pricing searches
-// allocate nothing per node or per edge.
+// adjacency row reuses scratch storage, and route invalidation
+// allocates nothing.
 func TestMotionEpochAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")

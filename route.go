@@ -84,9 +84,9 @@ func hopProbability(snrDB float64) float64 {
 }
 
 // cachedRoute is one routeCache entry: the shortest path and its
-// policy cost, kept so a later Join can decide — from one scalar
-// Dijkstra rooted at the new node — whether the entry could possibly
-// have been beaten (see noteJoinLocked).
+// policy cost, kept so a later Join or move can decide from its
+// endpoints' hop floors whether the entry could possibly have been
+// beaten (see dropBeatableRoutesLocked).
 type cachedRoute struct {
 	path []int
 	cost float64
@@ -100,10 +100,10 @@ type cachedRoute struct {
 // Unknown endpoints return ErrUnknownDevice, departed endpoints
 // ErrNodeLeft, src == dst ErrBadDeviceID, and a partitioned audibility
 // graph ErrNoRoute. Paths never relay through departed nodes. Paths
-// and edge weights are cached per geometry; a Join invalidates only
-// the paths the new node could actually shorten, a position epoch only
-// what the mover made stale (noteMoveLocked), a Leave only the paths
-// through the departed node — so repeated sends pay for one
+// and edge weights are cached per geometry; a Join or a position epoch
+// invalidates the paths through the node and the paths its hop floors
+// say it might shorten (dropBeatableRoutesLocked), a Leave only the
+// paths through the departed node — so repeated sends pay for one
 // shortest-path run.
 func (n *Network) Route(src, dst DeviceID) ([]DeviceID, error) {
 	n.mu.Lock()
@@ -175,11 +175,9 @@ func (n *Network) hopWeightLocked(u, v int) (float64, error) {
 	return w, nil
 }
 
-// routeItem is one heap entry of the route searches: its heap key,
-// and the labels node idx carried when it was pushed. routeLocked keys
-// an entry by its cost plus the node's hop floor to the destination;
-// the pricing search keys by distance alone and leaves the labels
-// zero.
+// routeItem is one heap entry of the route search: its heap key — the
+// cost plus the node's hop floor to the destination — and the labels
+// node idx carried when it was pushed.
 type routeItem struct {
 	key  float64
 	cost float64
@@ -252,21 +250,18 @@ func (q *routeQueue) pop() routeItem {
 // unreached labels a node no search has reached yet.
 const unreached = math.MaxFloat64
 
-// routeScratch is the route layer's search state, kept on the Network
-// and used under n.mu: both searches' label arrays, the heap's
-// backing array and the pricing worklist. A search resets what it
-// reads instead of allocating, so neither a route build nor a motion
-// epoch's re-pricing allocates per node or per edge.
+// routeScratch is the route build's search state, kept on the Network
+// and used under n.mu: routeLocked's label arrays and the heap's
+// backing array. A build resets them instead of allocating, so it
+// allocates nothing per node or per edge.
 type routeScratch struct {
-	cost []float64 // routeLocked's cost labels; the pricing distances
+	cost []float64
 	hops []int
 	lenM []float64
 	prev []int
 	done []bool
 	// queue is the heap's backing array.
 	queue routeQueue
-	// open is the pricing worklist (repriceRoutesLocked).
-	open []pricedRoute
 }
 
 // reset sizes the label arrays to nn nodes and marks every node
@@ -385,15 +380,6 @@ func (n *Network) routeLocked(src, dst int) ([]int, error) {
 	return path, nil
 }
 
-// pricedRoute is a cached route awaiting its pricing verdict
-// (repriceRoutesLocked): the entry's key and cached cost, and each
-// endpoint's hop floor from the pricing root (hopFloorLocked).
-type pricedRoute struct {
-	key            [2]int
-	cost           float64
-	floorA, floorB float64
-}
-
 // hopFloorLocked returns a lower bound on the policy distance between
 // nodes i and j from geometry alone. Every hop spans at most the
 // carrier-sense range and costs at least 1 under both policies, so a
@@ -412,170 +398,45 @@ func (n *Network) hopFloorLocked(i, j int) float64 {
 	return math.Max(1, math.Ceil(n.pos[i].DistanceTo(n.pos[j])/r-1e-9))
 }
 
-// repriceRoutesLocked deletes every cached route that node idx could
-// have changed: each route walking through idx, and each route (a, b)
-// a path through idx could beat or tie — d[a] + d[b] <= cost, with d
-// the policy distance from idx (the argument is noteJoinLocked's).
+// dropBeatableRoutesLocked deletes every cached route that node idx —
+// just joined, or just moved — could have changed: each route walking
+// through idx, and each route (a, b) whose endpoints' hop floors from
+// idx admit a path through it that beats or ties the cached cost.
 //
-// d comes from a cost-only Dijkstra rooted at idx, run only as far as
-// the verdicts need. Every node v has d[v] >= floor[v], its hop floor
-// from idx; when the heap pops key L, every node not yet settled also
-// has d >= L. Float addition is monotone, so with lb = max(L, floor):
-//
-//   - an entry with both endpoints settled is decided exactly;
-//   - one endpoint settled at d[a]: d[a] + d[b] >= d[a] + lb[b];
-//   - neither settled: d[a] + d[b] >= lb[a] + lb[b].
-//
-// Once that lower bound exceeds the cached cost the entry stands,
-// whatever the rest of the search would find, and it leaves the
-// worklist; an entry whose endpoints' floors already exceed it never
-// enters, and an empty worklist needs no search. The search stops when
-// the worklist is empty — at the latest at the first pop above the
-// largest cached cost. The bounded search is a prefix of the unbounded
-// one, so every settled distance is bit-identical, nodes it never
-// reaches (unreachable or departed) count as infinitely far, and
-// exactly the entries an unbounded pricing would delete are deleted.
-// The search keys its heap by distance alone — it has no single goal
-// to steer toward — and, like routeLocked, relaxes each settled node
-// by looping over its audibility row and the dense departed array,
-// with the MinHop weight 1 inline. If an edge weight cannot be
-// computed (a link refuses to build), the route cache is dropped
-// wholesale — correct, merely slower. Callers hold n.mu.
-func (n *Network) repriceRoutesLocked(idx int) {
-	if len(n.routeCache) == 0 {
-		return
-	}
-	s := &n.routeScratch
-	open := s.open[:0]
-	//aqualint:order-independent each entry is tested for the node and deleted or queued for pricing independently; the verdicts, and so the surviving set, are the same whatever order the entries are visited in
+// A cached (a, b) entry was optimal on the old graph. A strictly better
+// path on the new graph must pass through idx (a path avoiding it
+// existed before — no other node's position changed — and could not
+// beat the optimum), and such a path costs at least d[a] + d[b], idx's
+// policy distances to the endpoints; both policies' weights are
+// symmetric. Every d[v] is at least the hop floor from idx
+// (hopFloorLocked), and float addition is monotone, so an entry with
+// floor[a] + floor[b] > cost can be neither beaten nor tied (a tie
+// could win the deterministic tie-break on hops, length or index): it
+// is exactly what a fresh routeLocked returns, and it stays. Every
+// other entry is deleted without pricing it. Over-invalidation costs
+// only a rebuild: on the harbor workload the former per-mover pricing
+// Dijkstra, which proved some of these entries safe, settled about 620
+// nodes a search — several times the cost of the A* rebuilds it saved.
+// The rule reads positions only, so it probes no channel link under
+// MinETX. Callers hold n.mu.
+func (n *Network) dropBeatableRoutesLocked(idx int) {
+	//aqualint:order-independent each entry is tested and deleted independently; the surviving set is the same whatever order the entries are visited in
 	for key, r := range n.routeCache {
-		if pathContains(r.path, idx) {
+		if n.hopFloorLocked(idx, key[0])+n.hopFloorLocked(idx, key[1]) <= r.cost || pathContains(r.path, idx) {
 			delete(n.routeCache, key)
-			continue
-		}
-		e := pricedRoute{key: key, cost: r.cost,
-			floorA: n.hopFloorLocked(idx, key[0]), floorB: n.hopFloorLocked(idx, key[1])}
-		if e.floorA+e.floorB <= e.cost {
-			open = append(open, e)
 		}
 	}
-	if len(open) == 0 {
-		s.open = open
-		return
-	}
-	s.reset(len(n.order))
-	dist, done, departed := s.cost, s.done, n.departed
-	etx := n.cfg.routing == MinETX
-	dist[idx] = 0
-	pq := &s.queue
-	pq.push(routeItem{idx: idx})
-	// rescan is the key past which the worklist is next examined: the
-	// largest key at which the last scan's survivors could fall to
-	// their lower bounds (none can at key 0, having entered the list).
-	// An entry decided meanwhile by both endpoints settling waits for
-	// that scan; the verdict is the same, merely found later.
-	rescan := 0.0
-	for len(*pq) > 0 {
-		it := pq.pop()
-		if it.key > rescan {
-			if open, rescan = n.priceVerdictsLocked(open, it.key); len(open) == 0 {
-				break
-			}
-		}
-		u := it.idx
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		du := dist[u]
-		for _, v := range n.audibleRowLocked(u) {
-			// Departed nodes relay nothing (see routeLocked).
-			if done[v] || departed[v] {
-				continue
-			}
-			c := du + 1
-			if etx {
-				w, err := n.hopWeightLocked(u, v)
-				if err != nil {
-					n.routeCache = nil
-					s.open = open[:0]
-					return
-				}
-				c = du + w
-			}
-			if c < dist[v] {
-				dist[v] = c
-				pq.push(routeItem{key: c, idx: v})
-			}
-		}
-	}
-	// The heap ran dry: every reachable node is settled, so the rest
-	// are decided exactly or have an unreachable endpoint.
-	open, _ = n.priceVerdictsLocked(open, math.Inf(1))
-	s.open = open[:0]
 }
 
-// priceVerdictsLocked decides every worklist entry the pricing search
-// already can, given that no unsettled node is closer than atLeast
-// (see repriceRoutesLocked): a beatable entry is deleted from the
-// route cache, and every decided entry leaves the worklist. It returns
-// the undecided rest and the largest key at which one of them could
-// still be decided by its lower bound alone — past it, a rescan is
-// worth its cost. Callers hold n.mu.
-func (n *Network) priceVerdictsLocked(open []pricedRoute, atLeast float64) ([]pricedRoute, float64) {
-	dist, done := n.routeScratch.cost, n.routeScratch.done
-	rescan := atLeast
-	for i := 0; i < len(open); {
-		e := open[i]
-		a, b := e.key[0], e.key[1]
-		var lower, reach float64
-		switch {
-		case done[a] && done[b]:
-			if dist[a]+dist[b] <= e.cost {
-				delete(n.routeCache, e.key)
-			}
-			lower = math.Inf(1)
-		case done[a]:
-			lower, reach = dist[a]+math.Max(atLeast, e.floorB), e.cost-dist[a]
-		case done[b]:
-			lower, reach = dist[b]+math.Max(atLeast, e.floorA), e.cost-dist[b]
-		default:
-			lower = math.Max(atLeast, e.floorA) + math.Max(atLeast, e.floorB)
-			reach = e.cost - math.Max(e.cost/2, math.Max(e.floorA, e.floorB))
-		}
-		if lower > e.cost {
-			open[i] = open[len(open)-1]
-			open = open[:len(open)-1]
-			continue
-		}
-		if reach > rescan {
-			rescan = reach
-		}
-		i++
-	}
-	return open, rescan
-}
-
-// noteJoinLocked invalidates exactly the cached routes the node that
-// just joined (index newIdx) could have changed. A former
-// implementation dropped the route *and* ETX caches wholesale on
-// every Join — quadratically wasteful during a large build-out, and
-// wrong about the ETX cache, whose pair weights depend only on the
-// two endpoints' geometry and never go stale.
-//
-// A cached (a, b) entry was optimal on the old graph. Any strictly
-// better path on the new graph must pass through the new node (a path
-// avoiding it existed before and could not beat the optimum), and
-// such a path costs at least d[a] + d[b], the new node's policy
-// distances to the endpoints — both policies' weights are symmetric.
-// So an entry is stale only if d[a] + d[b] <= its cached cost; the
-// equality case guards the deterministic tie-break, which an
-// equal-cost path through the new node can win on hops, length or
-// index. One bounded scalar Dijkstra rooted at the new node prices
-// every cached entry (repriceRoutesLocked; no cached path can walk
-// through a node that just joined). Callers hold n.mu.
+// noteJoinLocked invalidates the cached routes the node that just
+// joined (index newIdx) could have shortened (dropBeatableRoutesLocked;
+// no cached path can walk through a node that just joined). A former
+// implementation dropped the route *and* ETX caches wholesale on every
+// Join — quadratically wasteful during a large build-out, and wrong
+// about the ETX cache, whose pair weights depend only on the two
+// endpoints' geometry and never go stale. Callers hold n.mu.
 func (n *Network) noteJoinLocked(newIdx int) {
-	n.repriceRoutesLocked(newIdx)
+	n.dropBeatableRoutesLocked(newIdx)
 }
 
 // noteMoveLocked invalidates what a position epoch of node idx made
@@ -583,25 +444,20 @@ func (n *Network) noteJoinLocked(newIdx int) {
 //
 //   - every ETX pair weight touching the mover (pair weights are a
 //     function of the two endpoints' positions — the mover's changed);
-//   - every cached route that *walks through* the mover (its hop
+//   - every cached route that walks through the mover (its hop
 //     geometry changed, and hops into or out of it may no longer be
-//     audible);
-//   - and, by the same symmetric-weight pricing argument as
-//     noteJoinLocked, every surviving entry the mover's new position
-//     could beat: a strictly better path on the new graph must pass
-//     through the mover, costing at least d[a] + d[b] from its new
-//     position (<= also invalidates, guarding the tie-break).
+//     audible), and every route its new position's hop floors admit a
+//     shortcut for (dropBeatableRoutesLocked).
 //
 // A pair is only ever probed across an audible edge, and a move by
 // either endpoint drops it, so the mover's cached ETX pairs all lie
 // in oldRow, its adjacency row before the move (every node when the
 // carrier-sense range is unlimited) — the drop costs the mover's
-// degree, not a scan of every probed pair. The pricing Dijkstra runs
-// over the already-patched adjacency and lazily re-probes the mover's
-// ETX weights at the new position through hopWeightLocked — the
-// per-epoch ETX re-probe. Entries avoiding the mover and priced safe
-// kept their exact old cost: no other pair's geometry changed.
-// Callers hold n.mu, after patchAdjacencyLocked.
+// degree, not a scan of every probed pair. Nothing is re-probed here:
+// the next route build that relaxes an edge of the mover probes it at
+// the new position through hopWeightLocked. Surviving entries kept
+// their exact old cost: no other pair's geometry changed. Callers hold
+// n.mu, after patchAdjacencyLocked.
 func (n *Network) noteMoveLocked(idx int, oldRow []int) {
 	if len(n.etxCache) > 0 {
 		drop := func(v int) {
@@ -618,7 +474,7 @@ func (n *Network) noteMoveLocked(idx int, oldRow []int) {
 			}
 		}
 	}
-	n.repriceRoutesLocked(idx)
+	n.dropBeatableRoutesLocked(idx)
 }
 
 // noteLeaveLocked invalidates the cached routes that relay through the
