@@ -253,6 +253,17 @@ func BenchmarkOverlapAddApply(b *testing.B) {
 	}
 }
 
+// BenchmarkAutoCorrelation480 is the equalizer's autocorrelation:
+// 480 lags over a training symbol and three data symbols.
+func BenchmarkAutoCorrelation480(b *testing.B) {
+	rng := rand.New(rand.NewSource(20))
+	x := randReal(4*1027, rng)
+	b.ReportAllocs()
+	for b.Loop() {
+		AutoCorrelation(x, 479)
+	}
+}
+
 // BenchmarkOverlapAddApplyTo measures the allocation-free path: the
 // output buffer is recycled across calls, as the time-varying channel
 // does for its two realization convolutions.

@@ -95,7 +95,37 @@ func AutoCorrelation(x []float64, maxLag int) []float64 {
 	}
 	out := make([]float64, maxLag+1)
 	n := float64(len(x))
-	for k := 0; k <= maxLag; k++ {
+	// Four lags per sweep: x[i] is loaded once for all four, and the
+	// window x[i+k..i+k+3] slides along in registers. Each lag keeps
+	// its own accumulator and adds its terms in increasing i, as a
+	// one-lag loop would, then finishes its own short tail.
+	k := 0
+	for ; k+3 <= maxLag; k += 4 {
+		var s0, s1, s2, s3 float64
+		a := x[:len(x)-k-3]
+		b := x[k+3:]
+		b = b[:len(a)]
+		v0, v1, v2 := x[k], x[k+1], x[k+2]
+		for i, xi := range a {
+			v3 := b[i]
+			s0 += xi * v0
+			s1 += xi * v1
+			s2 += xi * v2
+			s3 += xi * v3
+			v0, v1, v2 = v1, v2, v3
+		}
+		for i := len(a); i < len(x)-k; i++ {
+			s0 += x[i] * x[i+k]
+		}
+		for i := len(a); i < len(x)-k-1; i++ {
+			s1 += x[i] * x[i+k+1]
+		}
+		for i := len(a); i < len(x)-k-2; i++ {
+			s2 += x[i] * x[i+k+2]
+		}
+		out[k], out[k+1], out[k+2], out[k+3] = s0/n, s1/n, s2/n, s3/n
+	}
+	for ; k <= maxLag; k++ {
 		var s float64
 		for i := 0; i+k < len(x); i++ {
 			s += x[i] * x[i+k]

@@ -310,6 +310,21 @@ func BenchmarkFFT4800(b *testing.B) {
 	}
 }
 
+// BenchmarkRealPlan16384 runs one forward and one inverse real
+// transform at the overlap-add size of a 480-tap channel.
+func BenchmarkRealPlan16384(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	x := randReal(16384, rng)
+	p := NewRealPlan(16384)
+	spec := make([]complex128, p.Bins())
+	out := make([]float64, 16384)
+	b.ReportAllocs()
+	for b.Loop() {
+		p.Forward(spec, x)
+		p.Inverse(out, spec)
+	}
+}
+
 // realPlanSizes covers every power of two from 2 to 65,536, the
 // modem's symbol sizes and an even size whose half (77 = 7*11) runs on
 // Bluestein.

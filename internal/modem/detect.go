@@ -59,17 +59,23 @@ func (d *Detector) SlidingCorrelation(x []float64, t int) float64 {
 	}
 	var sum float64
 	var energy float64
-	for s := 0; s < PreambleSymbols; s++ {
+	for s := 0; s < PreambleSymbols-1; s++ {
+		// One pass over the segment pair: segA's energy and its dot
+		// product with segB, each in its own accumulator.
 		segA := x[t+s*n : t+(s+1)*n]
-		energy += dsp.Energy(segA)
-		if s == PreambleSymbols-1 {
-			break
-		}
 		segB := x[t+(s+1)*n : t+(s+2)*n]
+		segB = segB[:len(segA)]
+		var e, dot float64
+		for i, a := range segA {
+			e += a * a
+			dot += a * segB[i]
+		}
+		energy += e
 		signA := float64(seq.PreamblePN[s])
 		signB := float64(seq.PreamblePN[s+1])
-		sum += signA * signB * dsp.Dot(segA, segB)
+		sum += signA * signB * dot
 	}
+	energy += dsp.Energy(x[t+(PreambleSymbols-1)*n : t+win])
 	if energy <= 0 {
 		return 0
 	}

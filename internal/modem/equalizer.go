@@ -66,16 +66,20 @@ func (m *Modem) TrainEqualizer(rx, ref []float64, nTaps, delay int) (*Equalizer,
 	// Autocorrelation over everything available (training + data).
 	r := dsp.AutoCorrelation(rx, nTaps-1)
 	// Cross-correlation against the known training only:
-	// p[j] = mean_n ref[n-delay] * rx[n-j].
+	// p[j] = mean_n ref[n-delay] * rx[n-j]. Training sample i meets
+	// rx[i+delay-j], which exists for i in [lo, hi); the terms add in
+	// increasing i.
 	p := make([]float64, nTaps)
 	for j := 0; j < nTaps; j++ {
+		lo, hi := max(0, j-delay), min(len(ref), len(rx)+j-delay)
 		var acc float64
-		for i := 0; i < len(ref); i++ {
-			n := i + delay // rx sample index aligned with ref[i]
-			if n-j < 0 || n-j >= len(rx) {
-				continue
+		if lo < hi {
+			tr := ref[lo:hi]
+			y := rx[lo+delay-j:]
+			y = y[:len(tr)]
+			for i, v := range tr {
+				acc += v * y[i]
 			}
-			acc += ref[i] * rx[n-j]
 		}
 		p[j] = acc / float64(len(ref))
 	}
