@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"aquago"
@@ -20,6 +21,17 @@ import (
 // byte must stay the same. Only a deliberate re-baseline, stated as
 // such in the change that makes it, may update this value.
 const linkOutcomeDigest = "ebffbb964da6d28e"
+
+// skipOffAMD64 skips a digest comparison off amd64: the digests are
+// taken on amd64, which fuses no multiply-adds at any GOAMD64 level,
+// while arm64 fuses them and so changes low-order bits. Checks made
+// before the call still run on every architecture.
+func skipOffAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("outcome digests are pinned on amd64; %s may fuse multiply-adds (arm64 does), which changes low-order bits", runtime.GOARCH)
+	}
+}
 
 func TestLinkOutcomesPinned(t *testing.T) {
 	ranges := []float64{5, 15, 30}
@@ -42,6 +54,7 @@ func TestLinkOutcomesPinned(t *testing.T) {
 		fmt.Fprintf(h, "%d:%d/%d/%t/%t/%d-%d/%x/%v|", i, msg, res.Attempts, res.Delivered, res.Acknowledged,
 			res.Last.Band.Lo, res.Last.Band.Hi, res.Last.Decoded, err)
 	}
+	skipOffAMD64(t)
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != linkOutcomeDigest {
 		t.Fatalf("link outcome digest %s, pinned %s", got, linkOutcomeDigest)
 	}
@@ -141,6 +154,7 @@ func TestBulkRelayOutcomesPinned(t *testing.T) {
 	fmt.Fprint(h, "stale ")
 	hashBulkOutcome(h, res, err)
 
+	skipOffAMD64(t)
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != bulkRelayOutcomeDigest {
 		t.Fatalf("bulk relay outcome digest %s, pinned %s", got, bulkRelayOutcomeDigest)
 	}

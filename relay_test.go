@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -339,5 +340,109 @@ func TestSendBulkViaHopsAreQueuedJobs(t *testing.T) {
 		if !ids[ev.TxID] {
 			t.Fatalf("stage event %+v carries TxID %d, not one of the transfer's jobs", ev, ev.TxID)
 		}
+	}
+}
+
+// TestBulkAndStreamQueueFull fills a source's transmit queue with
+// conflicting jobs held behind an inflight one (a trace hook parks its
+// exchange), so no transfer from that source can queue a job: both bulk
+// relays fail at once with a *RelayError naming hop 0 and packet 0, and
+// a stream fails wrapping ErrQueueFull — none of them waits for queue
+// space that only foreign traffic would free. Once the queue drains, a
+// stream whose window exceeds the queue capacity still completes.
+func TestBulkAndStreamQueueFull(t *testing.T) {
+	okMsg, _ := aquago.LookupMessage("OK?")
+	net, err := aquago.NewNetwork(aquago.Bridge, aquago.WithNetworkSeed(7), aquago.WithTxQueueCapacity(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	held := make(chan struct{})
+	var once, freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	defer free()
+	hold := aquago.TraceFunc(func(aquago.StageEvent) {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	})
+	recv, err := net.Join(0, aquago.Position{X: 0, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Join(1, aquago.Position{X: 5, Z: 1}, aquago.WithNodeTrace(hold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, err := src.SendAsync(ctx, recv.ID(), okMsg.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	var fillers []*aquago.TxHandle
+	for i := 0; i < 2; i++ {
+		h, err := src.SendAsync(ctx, recv.ID(), okMsg.ID)
+		if err != nil {
+			t.Fatalf("filler %d: %v", i, err)
+		}
+		fillers = append(fillers, h)
+	}
+
+	path := []aquago.DeviceID{src.ID(), recv.ID()}
+	for _, tc := range []struct {
+		name string
+		send func(context.Context, []aquago.DeviceID, []byte) (aquago.BulkResult, error)
+	}{{"SendBulkVia", net.SendBulkVia}, {"SendBulkViaPipelined", net.SendBulkViaPipelined}} {
+		res, err := tc.send(ctx, path, []byte("full"))
+		var re *aquago.RelayError
+		if !errors.As(err, &re) || !errors.Is(err, aquago.ErrQueueFull) || re.Hop != 0 || re.Pkt != 0 {
+			t.Fatalf("%s into a full queue: err %v, want *RelayError{Hop: 0, Pkt: 0} wrapping ErrQueueFull", tc.name, err)
+		}
+		if res.DeliveredPackets != 0 || res.Attempts != 0 {
+			t.Fatalf("%s into a full queue transmitted: %+v", tc.name, res)
+		}
+	}
+	st, err := src.OpenStream(ctx, recv.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write([]byte("full")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Wait(ctx); !errors.Is(err, aquago.ErrQueueFull) {
+		t.Fatalf("stream into a full queue: err %v, want ErrQueueFull", err)
+	}
+
+	free()
+	for _, h := range append([]*aquago.TxHandle{first}, fillers...) {
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatalf("held traffic: %v", err)
+		}
+	}
+	payload := []byte("wider than the queue")
+	wide, err := src.OpenStream(ctx, recv.ID(), aquago.WithStreamWindow(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wide.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.Wait(ctx); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("window 8 over a 2-job queue: %q, %v", got, err)
+	}
+	if err := net.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -114,8 +114,10 @@ type StreamStats struct {
 	// BytesDelivered the receiver's in-order frontier (bytes available
 	// to Read, whether or not read yet).
 	BytesWritten, BytesAcked, BytesDelivered int
-	// Segments counts distinct segments first transmitted; Attempts
-	// the physical link-layer transmission attempts underneath them
+	// Segments counts distinct segments queued for a first
+	// transmission (on a failed stream, those its failure withdrew
+	// before they aired included); Attempts the physical link-layer
+	// transmission attempts underneath them
 	// (the link protocol's own retries included); Retransmits the ARQ
 	// retransmissions scheduled above the link layer.
 	Segments, Attempts, Retransmits int

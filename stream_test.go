@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -29,6 +31,12 @@ type streamOutcome struct {
 	Received []byte
 	Stats    aquago.StreamStats
 	WaitErr  string
+	// WaitClass names the sentinel the Wait error wraps (relayErrClass)
+	// and WaitSeq its *StreamError segment, -1 when it carries none.
+	WaitClass string
+	WaitSeq   int
+	// FrontierAtS[i] is Stream.FrontierAtS(i+1) for every delivered byte.
+	FrontierAtS []float64
 }
 
 // runStream opens a stream over a rangeM link, pushes the payload
@@ -37,11 +45,18 @@ type streamOutcome struct {
 func runStream(t *testing.T, rangeM float64, seed int64, mode aquago.ContentionMode,
 	workers int, payload []byte, opts ...aquago.StreamOption) streamOutcome {
 	t.Helper()
-	net, err := aquago.NewNetwork(aquago.Bridge,
+	return runStreamNet(t, rangeM, seed, mode, workers, nil, payload, opts...)
+}
+
+// runStreamNet is runStream with extra network options.
+func runStreamNet(t *testing.T, rangeM float64, seed int64, mode aquago.ContentionMode,
+	workers int, netOpts []aquago.NetworkOption, payload []byte, opts ...aquago.StreamOption) streamOutcome {
+	t.Helper()
+	net, err := aquago.NewNetwork(aquago.Bridge, append([]aquago.NetworkOption{
 		aquago.WithNetworkSeed(seed),
 		aquago.WithContentionMode(mode),
 		aquago.WithNetworkWorkers(workers),
-	)
+	}, netOpts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +84,36 @@ func runStream(t *testing.T, rangeM float64, seed int64, mode aquago.ContentionM
 	// Read drains to EOF once everything is DELIVERED; the final ACK
 	// may still be on the air, so settle with Wait before snapshotting
 	// the accounting.
-	out := streamOutcome{Received: received}
-	if werr := st.Wait(context.Background()); werr != nil {
+	out := streamOutcome{Received: received, WaitSeq: -1}
+	werr := st.Wait(context.Background())
+	if werr != nil {
 		out.WaitErr = werr.Error()
 	}
+	out.WaitClass = relayErrClass(werr)
+	var serr *aquago.StreamError
+	if errors.As(werr, &serr) {
+		out.WaitSeq = serr.Seq
+	}
 	out.Stats = st.Stats()
+	for i := 1; i <= out.Stats.BytesDelivered; i++ {
+		out.FrontierAtS = append(out.FrontierAtS, st.FrontierAtS(i))
+	}
 	return out
+}
+
+// hashStreamOutcome folds one stream's outcome into h: received bytes,
+// every StreamStats field, the frontier time of each delivered byte,
+// and the Wait error's class and segment (its text is left out).
+func hashStreamOutcome(h io.Writer, out streamOutcome) {
+	st := out.Stats
+	fmt.Fprintf(h, "rx=%x written=%d acked=%d delivered=%d segs=%d attempts=%d rexmit=%d dups=%d reorder=%d window=%d start=%x end=%x|",
+		out.Received, st.BytesWritten, st.BytesAcked, st.BytesDelivered, st.Segments, st.Attempts,
+		st.Retransmits, st.DupSegments, st.MaxReorder, st.Window,
+		math.Float64bits(st.StartS), math.Float64bits(st.EndS))
+	for _, at := range out.FrontierAtS {
+		fmt.Fprintf(h, "%x,", math.Float64bits(at))
+	}
+	fmt.Fprintf(h, "|class=%s seq=%d\n", out.WaitClass, out.WaitSeq)
 }
 
 // isStreamTermination reports whether a read error is the stream's
@@ -100,7 +139,10 @@ func checkStreamInvariants(t *testing.T, payload []byte, out streamOutcome) {
 	if out.Stats.BytesWritten != len(payload) || out.Stats.Segments > len(payload) {
 		t.Fatalf("write-side accounting wrong for %d payload bytes: %+v", len(payload), out.Stats)
 	}
-	if out.Stats.Attempts < out.Stats.Segments {
+	// Every delivered byte aired at least once, and so did every
+	// segment of a clean finish; a failed stream's Segments also counts
+	// the queued segments its failure withdrew before they aired.
+	if out.Stats.Attempts < out.Stats.BytesDelivered || out.WaitErr == "" && out.Stats.Attempts < out.Stats.Segments {
 		t.Fatalf("fewer attempts than segments sent: %+v", out.Stats)
 	}
 	if out.Stats.DupSegments > 0 && out.Stats.Retransmits == 0 {
@@ -153,43 +195,84 @@ func TestStreamGoldenSeedsWorkers(t *testing.T) {
 	}
 }
 
+// streamOutcomeDigest pins TestStreamLossMatrix's outcomes: every
+// point's received bytes, StreamStats, per-byte frontier times and
+// Wait error class and segment feed one FNV-64a digest, so a rewrite
+// of the stream's ARQ machinery must reproduce each transfer exactly.
+// Only a deliberate re-baseline, stated as such in the change that
+// makes it, may update this value.
+const streamOutcomeDigest = "5a0b5bfba10f3b6f"
+
 // TestStreamLossMatrix sweeps the marginal band across seeds and
-// window sizes and checks the transfer invariants on every point.
-// The matrix must also produce evidence that each selective-repeat
-// mechanism fired somewhere: a retransmission that still completed
-// the transfer, a retry-budget death that degraded it, and
-// out-of-order arrival absorbed by the receive window.
+// window sizes and checks the transfer invariants on every point,
+// then runs the configuration corners (windows 1 and 128, no retry
+// budget, a pinned RTO, a window wider than the transmit queue) on
+// the marginal link. The matrix must also produce evidence that each
+// selective-repeat mechanism fired somewhere: a retransmission that
+// still completed the transfer, a retry-budget death that degraded
+// it, and out-of-order arrival absorbed by the receive window. Every
+// outcome feeds streamOutcomeDigest.
 func TestStreamLossMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a stream per (range, seed, window) point")
 	}
 	payload := make([]byte, 24)
 	rand.New(rand.NewSource(41)).Read(payload)
+	h := fnv.New64a()
 	var recovered, degraded, reordered bool
+	check := func(name string, window int, out streamOutcome) {
+		checkStreamInvariants(t, payload, out)
+		if out.Stats.MaxReorder > window {
+			t.Fatalf("%s: receive buffer exceeded the window: %+v", name, out.Stats)
+		}
+		if out.WaitErr == "" && out.Stats.Retransmits > 0 {
+			recovered = true
+		}
+		if out.WaitErr != "" {
+			degraded = true
+		}
+		if out.Stats.MaxReorder > 1 {
+			reordered = true
+		}
+		t.Logf("%s: %d/%d bytes, %d retransmits, reorder %d, err %q",
+			name, out.Stats.BytesDelivered, len(payload), out.Stats.Retransmits, out.Stats.MaxReorder, out.WaitErr)
+		fmt.Fprintf(h, "%s ", name)
+		hashStreamOutcome(h, out)
+	}
 	for _, rangeM := range []float64{72, 76, 78} {
 		for _, window := range []int{4, 16} {
 			for seed := int64(1); seed <= 4; seed++ {
 				out := runStream(t, rangeM, seed, aquago.EnvelopeContention, 2, payload,
 					aquago.WithStreamWindow(window))
-				checkStreamInvariants(t, payload, out)
-				if out.Stats.MaxReorder > window {
-					t.Fatalf("receive buffer exceeded the window: %+v", out.Stats)
-				}
-				if out.WaitErr == "" && out.Stats.Retransmits > 0 {
-					recovered = true
-				}
-				if out.WaitErr != "" {
-					degraded = true
-				}
-				if out.Stats.MaxReorder > 1 {
-					reordered = true
-				}
+				check(fmt.Sprintf("range=%g window=%d seed=%d", rangeM, window, seed), window, out)
 			}
 		}
+	}
+	corners := []struct {
+		name    string
+		window  int
+		netOpts []aquago.NetworkOption
+		opts    []aquago.StreamOption
+	}{
+		{"window1", 1, nil, nil},
+		{"window128", 128, nil, nil},
+		{"retries0", 8, nil, []aquago.StreamOption{aquago.WithStreamRetries(0)}},
+		{"rto", 8, nil, []aquago.StreamOption{aquago.WithStreamRTO(0.35)}},
+		{"queue4", 16, []aquago.NetworkOption{aquago.WithTxQueueCapacity(4)}, nil},
+	}
+	for _, c := range corners {
+		// Seed 1 at the marginal range retransmits and reorders.
+		opts := append([]aquago.StreamOption{aquago.WithStreamWindow(c.window)}, c.opts...)
+		out := runStreamNet(t, streamMarginalRangeM, 1, aquago.EnvelopeContention, 2, c.netOpts, payload, opts...)
+		check(c.name, c.window, out)
 	}
 	if !recovered || !degraded || !reordered {
 		t.Fatalf("matrix never exercised the machinery (recovered %v, degraded %v, reordered %v)",
 			recovered, degraded, reordered)
+	}
+	skipOffAMD64(t)
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != streamOutcomeDigest {
+		t.Fatalf("stream outcome digest %s, pinned %s", got, streamOutcomeDigest)
 	}
 }
 
