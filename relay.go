@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file is the store-and-forward relay layer over routing
@@ -15,14 +14,12 @@ import (
 // it (the previous hop's last attempt left the air, plus a
 // turnaround). SendVia walks its path one TxNormal job at a time,
 // waiting for each. Bulk transfer chunks an arbitrary payload into the
-// protocol's 16-bit packets and runs on one engine, bulkPipeline:
-// every hop of every packet is a TxBulk job on the sending relay's
-// transmit queue, forwarded by a completion continuation. SendBulkVia
-// keeps one packet in flight and maintains its route under motion;
-// SendBulkViaPipelined keeps two and overlaps them on non-interfering
-// hops. Every packet of every hop runs the full adaptive exchange, so
-// the band re-adapts per packet as the channel evolves — the
-// AquaScope-style workload.
+// protocol's 16-bit packets and runs on the transfer engine
+// (transfer.go) that also carries streams: SendBulkVia keeps one packet
+// in flight and maintains its route under motion; SendBulkViaPipelined
+// keeps two and overlaps them on non-interfering hops. Every packet of
+// every hop runs the full adaptive exchange, so the band re-adapts per
+// packet as the channel evolves — the AquaScope-style workload.
 
 // relayTurnaroundS is a relay's store-and-forward processing pause:
 // the gap between hearing a packet's last sample and being ready to
@@ -143,33 +140,6 @@ func hopFailed(res SendResult, err error) error {
 		return ErrNoACK
 	}
 	return nil
-}
-
-// retryFloorS is the one retransmission-floor rule of the bulk relay
-// and the stream: the virtual-clock ready floor for retransmission
-// try+1 of a send from nd that failed at endS is an exponential backoff
-// quantumS·2^min(try, streamBackoffCap) from the attempt's end — or
-// from the MAC's busy-until time when the channel never granted
-// access, or the node's own clock when the send never reached the air
-// at all. A zero quantumS means the node's backoff quantum (its
-// adapted airtime when one exists, else the full-band worst case).
-func retryFloorS(nd *Node, endS float64, ferr error, try int, quantumS float64) float64 {
-	floor := endS
-	var busy *ChannelBusyError
-	if errors.As(ferr, &busy) && busy.BusyUntilS > floor {
-		floor = busy.BusyUntilS
-	}
-	if floor == 0 {
-		floor = nd.ClockS()
-	}
-	exp := try
-	if exp > streamBackoffCap {
-		exp = streamBackoffCap
-	}
-	if quantumS == 0 {
-		quantumS = nd.backoffQuantumS()
-	}
-	return floor + quantumS*float64(int(1)<<exp)
 }
 
 // SendVia delivers one or two codebook messages along an explicit
@@ -312,6 +282,13 @@ const pipelineWindow = 2
 // pipelined transfers (Route reflects each position epoch); a hop
 // whose geometry walked away mid-transfer fails through the normal
 // retry budget.
+//
+// A packet whose next queue is full — the source's at admission, a
+// relay's for a forward or a retry — waits for the transfer's next
+// completion rather than failing it: packets already ahead free that
+// space as they dispatch. The transfer fails with a *RelayError
+// wrapping ErrQueueFull only when nothing of it is queued or on the air
+// to wait for (a source queue full of foreign traffic, say).
 func (n *Network) SendBulkViaPipelined(ctx context.Context, path []DeviceID, payload []byte) (BulkResult, error) {
 	return n.sendBulk(ctx, path, payload, pipelineWindow)
 }
@@ -326,63 +303,6 @@ func (nd *Node) SendBulkPipelined(ctx context.Context, dst DeviceID, payload []b
 	return nd.net.SendBulkViaPipelined(ctx, path, payload)
 }
 
-// bulkPipeline coordinates one bulk transfer: every hop of every
-// packet is a queued job, and each completion's continuation
-// (txJob.after, under the queue lock) forwards the packet to the next
-// hop and admits the next packet at the source. With a window of one
-// the next packet waits for its predecessor's delivery; wider windows
-// overlap packets wherever hops do not interfere, while the dispatch
-// gate keeps interfering hops in deterministic (priority, seq) order.
-type bulkPipeline struct {
-	n       *Network
-	ctx     context.Context
-	nodes   []*Node
-	path    []DeviceID
-	payload []byte
-	hops    int
-	// window is how many packets may be in flight: 1 for SendBulkVia
-	// (which alone maintains its route under motion), pipelineWindow
-	// for SendBulkViaPipelined.
-	window int
-
-	out BulkResult
-	// nextPkt is the next packet index to admit at hop 0; admission is
-	// windowed so the source queue holds at most the window regardless
-	// of payload size.
-	nextPkt int
-	// outstanding counts packets not yet terminal (delivered, failed,
-	// or abandoned); done closes when it reaches zero.
-	outstanding int
-	done        chan struct{}
-	finished    bool
-	// active maps packet index -> its current hop's handle.
-	active map[int]*TxHandle
-	// hopTries counts a packet's retransmissions on its *current* hop
-	// (cleared when the packet advances); pkts records each packet's
-	// end-to-end outcome for the contiguous-prefix finalize.
-	hopTries map[int]int
-	pkts     []bulkPktRecord
-
-	failed           bool
-	cancelling       bool
-	failPkt, failHop int
-	failErr          error
-}
-
-// bulkPktRecord is one packet's end-to-end outcome. Deliveries are
-// recorded here rather than appended to Received directly: packets
-// complete in packet order on the final hop, but a failure recorded at
-// a low packet index must not let a higher packet that was already
-// past the failed hop count as delivered payload — the finalize walks
-// the records and keeps only the contiguous delivered prefix.
-type bulkPktRecord struct {
-	delivered bool
-	chunk     [2]byte
-	padded    bool
-	band      Band
-	endS      float64
-}
-
 // sendBulk runs one bulk transfer with up to window packets in flight
 // and blocks until it drains.
 func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte, window int) (BulkResult, error) {
@@ -393,107 +313,30 @@ func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte,
 	if len(payload) == 0 {
 		return BulkResult{}, fmt.Errorf("%w: empty bulk payload", ErrBadMessage)
 	}
-	tr := &bulkPipeline{
-		n: n, ctx: ctx, nodes: nodes,
-		path: append([]DeviceID(nil), path...), payload: payload,
-		hops:     len(path) - 1,
-		window:   window,
-		done:     make(chan struct{}),
-		active:   make(map[int]*TxHandle),
-		hopTries: make(map[int]int),
-	}
-	tr.out = BulkResult{
-		Path:    tr.path,
-		Packets: (len(payload) + 1) / 2,
-		StartS:  nodes[0].ClockS(),
-	}
-	tr.pkts = make([]bulkPktRecord, tr.out.Packets)
-	tr.outstanding = tr.out.Packets
+	t := n.newTransfer(ctx, nodes, payload, (len(payload)+1)/2)
+	t.unitBytes, t.window, t.freeAtHop0, t.reroute = 2, window, window > 1, window == 1
+	t.stamp, t.keepPrefix, t.retries, t.sealed = true, true, n.cfg.bulkRetries, true
+	startS := nodes[0].ClockS()
 	n.tx.mu.Lock()
-	for i := 0; i < min(window, n.cfg.txQueueCap) && !tr.failed; i++ {
-		tr.admitLocked()
-	}
+	t.pumpLocked()
 	n.txEvaluateLocked()
-	tr.finishIfDoneLocked()
+	t.finishIfDoneLocked()
 	n.tx.mu.Unlock()
-	// Every admitted job carries ctx, and failures stop admission, so
-	// the transfer always drains: no select on ctx needed here.
-	<-tr.done
-	tr.finalize()
-	if tr.failed {
-		return tr.out, &RelayError{
-			Hop: tr.failHop, From: tr.path[tr.failHop], To: tr.path[tr.failHop+1],
-			Path: tr.out.Path, Pkt: tr.failPkt, Err: tr.failErr,
-		}
+	// Every job carries the transfer's ctx and a failure stops
+	// admission, so the transfer always drains: no select on ctx here.
+	// Once done closes, nothing touches t again.
+	<-t.done
+	out := BulkResult{
+		Path: t.path, Packets: len(t.units), DeliveredPackets: t.front,
+		DeliveredBytes: len(t.rx), Received: t.rx,
+		Attempts: t.attempts, Retries: t.retransmits, Reroutes: t.reroutes, StartS: startS,
 	}
-	return tr.out, nil
-}
-
-// chunk extracts packet p's 2-byte payload chunk and whether its
-// second byte is padding.
-func (tr *bulkPipeline) chunk(p int) (chunk [2]byte, padded bool) {
-	chunk[0] = tr.payload[2*p]
-	padded = 2*p+2 > len(tr.payload)
-	if !padded {
-		chunk[1] = tr.payload[2*p+1]
+	for _, us := range t.units[:t.front] {
+		out.Bands = append(out.Bands, us.band)
+		out.PacketEndS = append(out.PacketEndS, us.endS)
+		out.EndS = max(out.EndS, us.endS)
 	}
-	return chunk, padded
-}
-
-// admitLocked enqueues the next packet's hop-0 job (tx.mu held).
-func (tr *bulkPipeline) admitLocked() {
-	if tr.nextPkt >= tr.out.Packets || tr.failed {
-		return
-	}
-	p := tr.nextPkt
-	tr.nextPkt++
-	tr.enqueueHopLocked(0, p, 0)
-}
-
-// enqueueHopLocked queues packet p's hop job with the given ready
-// floor, after route maintenance; a failed repair or an enqueue
-// rejection (queue full, node left) is a hop failure (tx.mu held).
-func (tr *bulkPipeline) enqueueHopLocked(hop, p int, notBeforeS float64) {
-	err := tr.rerouteLocked(hop)
-	var h *TxHandle
-	if err == nil {
-		chunk, padded := tr.chunk(p)
-		raw := chunk
-		rc := relayCtx{hop: hop, pathHops: tr.hops, bulkPkt: p, bulkPkts: tr.out.Packets}
-		h, err = tr.n.txEnqueueLocked(
-			tr.nodes[hop], tr.nodes[hop+1], TxBulk, notBeforeS, &raw, 0, 0,
-			rc, tr.ctx, nil, tr.hopDone(hop, p, chunk, padded))
-	}
-	if err != nil {
-		tr.outstanding--
-		tr.recordFailureLocked(p, hop, err)
-		tr.finishIfDoneLocked()
-		return
-	}
-	tr.active[p] = h
-}
-
-// rerouteLocked is the one-packet transfer's route maintenance,
-// run before every hop job and retry: rerouteBulkHop's splice becomes
-// the transfer's path. Safe only with one packet in flight, so wider
-// windows keep their launch path (tx.mu held).
-func (tr *bulkPipeline) rerouteLocked(hop int) error {
-	if tr.window > 1 {
-		return nil
-	}
-	spliced, changed, err := tr.n.rerouteBulkHop(tr.nodes, hop)
-	if err != nil || !changed {
-		return err
-	}
-	tr.nodes = spliced
-	tr.hops = len(spliced) - 1
-	tr.path = make([]DeviceID, len(spliced))
-	for i, nd := range spliced {
-		tr.path[i] = nd.id
-	}
-	tr.out.Path = tr.path
-	tr.out.Reroutes++
-	return nil
+	return out, t.err
 }
 
 // rerouteBulkHop is the relay layer's route maintenance under motion:
@@ -531,157 +374,4 @@ func (n *Network) rerouteBulkHop(nodes []*Node, h int) ([]*Node, bool, error) {
 		spliced = append(spliced, n.order[idx])
 	}
 	return spliced, true, nil
-}
-
-// hopDone builds the continuation for packet p's hop job. It runs
-// under tx.mu inside completion processing, atomically before any
-// newly unblocked job dispatches.
-func (tr *bulkPipeline) hopDone(hop, p int, chunk [2]byte, padded bool) func(TxDelivery) {
-	return func(d TxDelivery) {
-		tr.out.Attempts += d.Result.Attempts
-		delete(tr.active, p)
-		ferr := hopFailed(d.Result, d.Err)
-		if ferr == nil && (hop == 0 && tr.window > 1 || hop+1 == tr.hops && tr.window == 1) {
-			// The packet freed its window slot — it cleared the source's
-			// hop, or, one packet in flight, reached the destination:
-			// admit the next packet. Deferred so a forward in the switch
-			// below enqueues FIRST and takes the older dispatch key —
-			// otherwise the source's ever-younger hop-0 jobs would starve
-			// every relay behind them and the pipeline would degenerate
-			// into "blast hop 0, then drain".
-			defer tr.admitLocked()
-		}
-		switch {
-		case ferr != nil && tr.failed && p > tr.failPkt:
-			// The transfer already died at an earlier packet while this
-			// one was on the air; abandon it rather than retry.
-			tr.outstanding--
-		case ferr != nil && streamRetryable(ferr) && tr.hopTries[p] < tr.n.cfg.bulkRetries:
-			// Transient loss: retransmit this hop under the budget,
-			// re-entering the relay's queue with a backed-off floor so
-			// the retry re-contends instead of hammering the channel.
-			try := tr.hopTries[p]
-			tr.hopTries[p] = try + 1
-			tr.out.Retries++
-			tr.enqueueHopLocked(hop, p, retryFloorS(tr.nodes[hop], d.EndS, ferr, try, 0))
-		case ferr != nil:
-			tr.outstanding--
-			tr.recordFailureLocked(p, hop, ferr)
-		case tr.failed && p > tr.failPkt:
-			// The transfer already died at an earlier packet while this
-			// one was on the air; abandon it.
-			tr.outstanding--
-		case hop+1 < tr.hops:
-			// Forward: the next relay possesses the packet once the last
-			// attempt's final sample arrived, and may contend after a
-			// turnaround. The retry counter restarts per hop.
-			delete(tr.hopTries, p)
-			tr.enqueueHopLocked(hop+1, p, d.EndS+relayTurnaroundS)
-		default:
-			// Reached the destination. Record the outcome; the finalize
-			// keeps only the contiguous delivered prefix, so a packet
-			// that beat an earlier failure end-to-end never counts.
-			tr.outstanding--
-			delete(tr.hopTries, p)
-			tr.pkts[p] = bulkPktRecord{
-				delivered: true, chunk: chunk, padded: padded,
-				band: d.Result.Last.Band, endS: d.EndS,
-			}
-		}
-		tr.finishIfDoneLocked()
-	}
-}
-
-// finalize folds the per-packet records into the public BulkResult
-// after the pipeline drained: Received/Bands/PacketEndS accumulate
-// the contiguous delivered prefix, in packet order, stopping at the
-// first packet that is not delivered end-to-end (on a failed transfer
-// that is at latest the failed packet). Runs unlocked — the transfer
-// is done and the records are immutable.
-func (tr *bulkPipeline) finalize() {
-	for p := 0; p < tr.out.Packets; p++ {
-		r := tr.pkts[p]
-		if !r.delivered {
-			break
-		}
-		tr.out.DeliveredPackets++
-		tr.out.Received = append(tr.out.Received, r.chunk[0])
-		tr.out.DeliveredBytes++
-		if !r.padded {
-			tr.out.Received = append(tr.out.Received, r.chunk[1])
-			tr.out.DeliveredBytes++
-		}
-		tr.out.Bands = append(tr.out.Bands, r.band)
-		tr.out.PacketEndS = append(tr.out.PacketEndS, r.endS)
-		if r.endS > tr.out.EndS {
-			tr.out.EndS = r.endS
-		}
-	}
-}
-
-// recordFailureLocked notes a hop failure, keeping the lowest failed
-// packet as the transfer's reported failure, stopping admission, and
-// withdrawing queued successors (tx.mu held).
-func (tr *bulkPipeline) recordFailureLocked(p, hop int, err error) {
-	switch {
-	case !tr.failed:
-		tr.failed = true
-		tr.failPkt, tr.failHop, tr.failErr = p, hop, err
-		// Unadmitted packets never run; account them terminal now.
-		tr.outstanding -= tr.out.Packets - tr.nextPkt
-		tr.nextPkt = tr.out.Packets
-		tr.cancelTrailingLocked()
-	case p < tr.failPkt:
-		tr.failPkt, tr.failHop, tr.failErr = p, hop, err
-		tr.cancelTrailingLocked()
-	}
-}
-
-// cancelTrailingLocked withdraws every still-queued job of packets
-// after the failed one; inflight jobs get their context cancelled and
-// resolve through their own completions. Cancelling a queued job runs
-// its continuation synchronously (which re-enters the failure path),
-// so the scan restarts until a pass makes no change.
-func (tr *bulkPipeline) cancelTrailingLocked() {
-	if tr.cancelling {
-		return
-	}
-	tr.cancelling = true
-	for changed := true; changed; {
-		changed = false
-		// Withdrawals resolve handles and land on the delivery queue as
-		// they run, so the scan order is user-visible (Deliveries,
-		// OnDone order): cancel in packet-index order, not the map's
-		// randomized one.
-		pkts := make([]int, 0, len(tr.active))
-		for p := range tr.active {
-			pkts = append(pkts, p)
-		}
-		sort.Ints(pkts)
-		for _, p := range pkts {
-			h := tr.active[p]
-			if p <= tr.failPkt {
-				continue
-			}
-			if h.job.state == txQueued {
-				tr.n.txCancelQueuedLocked(h.job, fmt.Errorf("%w: bulk transfer failed at packet %d", ErrTxCancelled, tr.failPkt))
-				changed = true
-				break
-			}
-			if h.job.state == txInflight && !h.job.cancelled {
-				h.job.cancelled = true
-				h.job.cancel()
-			}
-		}
-	}
-	tr.cancelling = false
-}
-
-// finishIfDoneLocked closes the transfer once every packet is
-// terminal (tx.mu held).
-func (tr *bulkPipeline) finishIfDoneLocked() {
-	if tr.outstanding == 0 && !tr.finished {
-		tr.finished = true
-		close(tr.done)
-	}
 }

@@ -347,8 +347,9 @@ func TestSendBulkViaHopsAreQueuedJobs(t *testing.T) {
 // conflicting jobs held behind an inflight one (a trace hook parks its
 // exchange), so no transfer from that source can queue a job: both bulk
 // relays fail at once with a *RelayError naming hop 0 and packet 0, and
-// a stream fails wrapping ErrQueueFull — none of them waits for queue
-// space that only foreign traffic would free. Once the queue drains, a
+// a stream with a *StreamError naming segment 0, both wrapping
+// ErrQueueFull — none of them waits for queue space that only foreign
+// traffic would free. Once the queue drains, a
 // stream whose window exceeds the queue capacity still completes.
 func TestBulkAndStreamQueueFull(t *testing.T) {
 	okMsg, _ := aquago.LookupMessage("OK?")
@@ -414,8 +415,9 @@ func TestBulkAndStreamQueueFull(t *testing.T) {
 	if err := st.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Wait(ctx); !errors.Is(err, aquago.ErrQueueFull) {
-		t.Fatalf("stream into a full queue: err %v, want ErrQueueFull", err)
+	var serr *aquago.StreamError
+	if err := st.Wait(ctx); !errors.As(err, &serr) || !errors.Is(err, aquago.ErrQueueFull) || serr.Seq != 0 {
+		t.Fatalf("stream into a full queue: err %v, want *StreamError{Seq: 0} wrapping ErrQueueFull", err)
 	}
 
 	free()
@@ -444,5 +446,67 @@ func TestBulkAndStreamQueueFull(t *testing.T) {
 	}
 	if err := net.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPipelinedWaitsAtFullRelayQueue: a pipelined packet whose forward
+// finds the relay's queue full waits for the transfer's next
+// completion instead of failing it. A trace hook holds packet 0 on
+// hop 0 while a conversational job fills the relay's one-job queue;
+// packet 0's forward then parks, packet 1 is admitted behind it, and
+// the transfer still delivers the whole payload.
+func TestPipelinedWaitsAtFullRelayQueue(t *testing.T) {
+	okMsg, _ := aquago.LookupMessage("OK?")
+	net, err := aquago.NewNetwork(aquago.Bridge, aquago.WithNetworkSeed(3),
+		aquago.WithCSRange(relayCSRangeM), aquago.WithTxQueueCapacity(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	held := make(chan struct{})
+	var once, freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	defer free()
+	hold := aquago.TraceFunc(func(aquago.StageEvent) {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	})
+	var nodes []*aquago.Node
+	for i := 0; i < 3; i++ {
+		var opts []aquago.NodeOption
+		if i == 0 {
+			opts = append(opts, aquago.WithNodeTrace(hold))
+		}
+		nd, err := net.Join(aquago.DeviceID(i), aquago.Position{X: float64(i) * relayLineSpacingM, Z: 1}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	ctx := context.Background()
+	payload := []byte("relay!")
+	type outcome struct {
+		res aquago.BulkResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := net.SendBulkViaPipelined(ctx, []aquago.DeviceID{0, 1, 2}, payload)
+		done <- outcome{res, err}
+	}()
+	<-held
+	filler, err := nodes[1].SendAsync(ctx, 2, okMsg.ID)
+	if err != nil {
+		t.Fatalf("filling the relay's queue: %v", err)
+	}
+	free()
+	out := <-done
+	if out.err != nil || !bytes.Equal(out.res.Received, payload) {
+		t.Fatalf("pipelined transfer past a full relay queue: %q, %v", out.res.Received, out.err)
+	}
+	if _, err := filler.Wait(ctx); err != nil {
+		t.Fatalf("filler: %v", err)
 	}
 }

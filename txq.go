@@ -203,13 +203,7 @@ func (h *TxHandle) Cancel() {
 	n := h.net
 	n.tx.mu.Lock()
 	defer n.tx.mu.Unlock()
-	switch h.job.state {
-	case txQueued:
-		n.txWithdrawLocked(h.job, fmt.Errorf("%w: cancelled while queued", ErrTxCancelled))
-	case txInflight:
-		h.job.cancelled = true
-		h.job.cancel()
-	}
+	n.txWithdrawLocked(h.job, fmt.Errorf("%w: cancelled while queued", ErrTxCancelled))
 }
 
 // txJobState tracks a job through the queue.
@@ -239,7 +233,6 @@ type txJob struct {
 	// stopWatch, when non-nil, unregisters the watch that withdraws
 	// the job if the caller's ctx ends while it is still queued.
 	stopWatch func() bool
-	cancelled bool // Cancel() reached it inflight
 	left      bool // Leave() reached it inflight
 
 	onDone func(TxDelivery)
@@ -248,7 +241,8 @@ type txJob struct {
 	held bool
 	// after, when non-nil, runs under tx.mu as part of completion
 	// processing — atomically before any newly unblocked job can
-	// dispatch. The bulk relay forwards packets through it.
+	// dispatch. The transfer engine (transfer.go) forwards, retries and
+	// records its units through it.
 	after func(TxDelivery)
 
 	state txJobState
@@ -612,7 +606,7 @@ func (n *Network) txFinishLocked(j *txJob, res SendResult, endS float64, err err
 		Result: res, EndS: endS, Err: err,
 	}
 	if j.after != nil {
-		//aqualint:callback-under-lock after is internal (never user-supplied): the bulk relay's continuation, documented on txJob to run under tx.mu so forwards enqueue before any unblocked job dispatches; it calls only *Locked helpers
+		//aqualint:callback-under-lock after is internal (never user-supplied): the transfer engine's continuation, documented on txJob to run under tx.mu so forwards and retries enqueue before any unblocked job dispatches; it calls only *Locked helpers
 		j.after(d)
 	}
 	n.txDeliverLocked(d, j.onDone)
@@ -622,25 +616,36 @@ func (n *Network) txFinishLocked(j *txJob, res SendResult, endS float64, err err
 	}
 }
 
-// txCancelQueuedLocked completes a still-queued job with err without
-// it ever touching the radio (tx.mu held).
-func (n *Network) txCancelQueuedLocked(j *txJob, err error) {
-	nq := j.nd.txq
-	nq.remove(j)
-	if nq.n == 0 {
-		delete(n.tx.nodes, j.nd)
+// txAbortLocked is the one way a job is withdrawn or aborted (tx.mu
+// held): a still-queued job completes with err at once, without ever
+// touching the radio; an inflight job has its context cancelled, so it
+// aborts between MAC attempts and resolves through its own completion.
+// A completed job is left alone. Callers own gate re-evaluation.
+func (n *Network) txAbortLocked(j *txJob, err error) {
+	switch j.state {
+	case txQueued:
+		nq := j.nd.txq
+		nq.remove(j)
+		if nq.n == 0 {
+			delete(n.tx.nodes, j.nd)
+		}
+		n.tx.queued--
+		n.txFinishLocked(j, SendResult{}, 0, err)
+	case txInflight:
+		j.cancel()
 	}
-	n.tx.queued--
-	n.txFinishLocked(j, SendResult{}, 0, err)
 }
 
-// txWithdrawLocked completes a still-queued job with err and re-runs
+// txWithdrawLocked aborts a job and, when it was still queued, re-runs
 // the dispatch gate behind it (tx.mu held): Cancel and an ended
 // enqueue ctx share it.
 func (n *Network) txWithdrawLocked(j *txJob, err error) {
-	n.txCancelQueuedLocked(j, err)
-	n.txEvaluateLocked()
-	n.txCheckIdleLocked()
+	queued := j.state == txQueued
+	n.txAbortLocked(j, err)
+	if queued {
+		n.txEvaluateLocked()
+		n.txCheckIdleLocked()
+	}
 }
 
 // txDeliverLocked appends a completion for the delivery pump. With no
@@ -763,7 +768,7 @@ func (n *Network) leaveLocked(nd *Node) {
 	n.mu.Unlock()
 	for p := range nd.txq.q {
 		for len(nd.txq.q[p]) > 0 {
-			n.txCancelQueuedLocked(nd.txq.q[p][0], fmt.Errorf("%w: node %d", ErrNodeLeft, nd.id))
+			n.txAbortLocked(nd.txq.q[p][0], fmt.Errorf("%w: node %d", ErrNodeLeft, nd.id))
 		}
 	}
 	for _, j := range n.tx.inflight {
