@@ -320,7 +320,6 @@ func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte,
 	n.tx.mu.Lock()
 	t.pumpLocked()
 	n.txEvaluateLocked()
-	t.finishIfDoneLocked()
 	n.tx.mu.Unlock()
 	// Every job carries the transfer's ctx and a failure stops
 	// admission, so the transfer always drains: no select on ctx here.

@@ -315,8 +315,6 @@ func (s *Stream) Close() error {
 		t.n.txEvaluateLocked()
 		t.n.txCheckIdleLocked()
 	}
-	t.wakeLocked()
-	t.finishIfDoneLocked()
 	t.n.tx.mu.Unlock()
 	t.cancel()
 	return nil

@@ -109,8 +109,9 @@ type transfer struct {
 	endS                            float64 // latest EndS of any job
 
 	// err is the failure, wrapped for the caller (nil while healthy).
-	// cut is the highest unit a failure leaves running; later units
-	// are withdrawn, and their late completions change nothing.
+	// After a failure, units above cut are withdrawn and their late
+	// completions change nothing: cut is the failed unit for bulk, -1
+	// for the stream.
 	err      error
 	cut      int
 	finished bool
@@ -153,13 +154,20 @@ func (n *Network) newTransfer(ctx context.Context, nodes []*Node, data []byte, u
 		ctx = context.Background()
 	}
 	tctx, cancel := context.WithCancel(ctx)
-	path := make([]DeviceID, len(nodes))
-	for i, nd := range nodes {
-		path[i] = nd.id
-	}
-	return &transfer{
-		n: n, ctx: tctx, cancel: cancel, nodes: nodes, path: path, data: data,
+	t := &transfer{
+		n: n, ctx: tctx, cancel: cancel, data: data,
 		units: make([]unitState, units), done: make(chan struct{}),
+	}
+	t.setNodes(nodes)
+	return t
+}
+
+// setNodes makes nodes the transfer's path.
+func (t *transfer) setNodes(nodes []*Node) {
+	t.nodes = nodes
+	t.path = make([]DeviceID, len(nodes))
+	for i, nd := range nodes {
+		t.path[i] = nd.id
 	}
 }
 
@@ -259,11 +267,7 @@ func (t *transfer) rerouteLocked(hop int) error {
 	if err != nil || !changed {
 		return err
 	}
-	t.nodes = spliced
-	t.path = make([]DeviceID, len(spliced))
-	for i, nd := range spliced {
-		t.path[i] = nd.id
-	}
+	t.setNodes(spliced)
 	t.reroutes++
 	return nil
 }

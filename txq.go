@@ -774,7 +774,7 @@ func (n *Network) leaveLocked(nd *Node) {
 	for _, j := range n.tx.inflight {
 		if j.nd == nd {
 			j.left = true
-			j.cancel()
+			n.txAbortLocked(j, nil) // inflight: its completion reports ErrNodeLeft
 		}
 	}
 }
