@@ -286,9 +286,11 @@ const pipelineWindow = 2
 // A packet whose next queue is full — the source's at admission, a
 // relay's for a forward or a retry — waits for the transfer's next
 // completion rather than failing it: packets already ahead free that
-// space as they dispatch. The transfer fails with a *RelayError
-// wrapping ErrQueueFull only when nothing of it is queued or on the air
-// to wait for (a source queue full of foreign traffic, say).
+// space as they dispatch. A packet waiting at a relay keeps its window
+// slot, so no more than the window's packets wait. The transfer fails
+// with a *RelayError wrapping ErrQueueFull only when nothing of it is
+// queued or on the air to wait for (a source queue full of foreign
+// traffic, say).
 func (n *Network) SendBulkViaPipelined(ctx context.Context, path []DeviceID, payload []byte) (BulkResult, error) {
 	return n.sendBulk(ctx, path, payload, pipelineWindow)
 }
@@ -314,8 +316,7 @@ func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte,
 		return BulkResult{}, fmt.Errorf("%w: empty bulk payload", ErrBadMessage)
 	}
 	t := n.newTransfer(ctx, nodes, payload, (len(payload)+1)/2)
-	t.unitBytes, t.window, t.freeAtHop0, t.reroute = 2, window, window > 1, window == 1
-	t.stamp, t.keepPrefix, t.retries, t.sealed = true, true, n.cfg.bulkRetries, true
+	t.window, t.retries, t.sealed = window, n.cfg.bulkRetries, true
 	startS := nodes[0].ClockS()
 	n.tx.mu.Lock()
 	t.pumpLocked()
@@ -325,9 +326,11 @@ func (n *Network) sendBulk(ctx context.Context, path []DeviceID, payload []byte,
 	// admission, so the transfer always drains: no select on ctx here.
 	// Once done closes, nothing touches t again.
 	<-t.done
+	// A copy: Received must not alias the caller's payload.
+	rx := append([]byte(nil), t.data[:min(2*t.front, len(t.data))]...)
 	out := BulkResult{
 		Path: t.path, Packets: len(t.units), DeliveredPackets: t.front,
-		DeliveredBytes: len(t.rx), Received: t.rx,
+		DeliveredBytes: len(rx), Received: rx,
 		Attempts: t.attempts, Retries: t.retransmits, Reroutes: t.reroutes, StartS: startS,
 	}
 	for _, us := range t.units[:t.front] {

@@ -510,3 +510,92 @@ func TestPipelinedWaitsAtFullRelayQueue(t *testing.T) {
 		t.Fatalf("filler: %v", err)
 	}
 }
+
+// TestPipelinedParkedForwardsStayWithinWindow: parked forwards are no
+// hidden queue. The relay's one-job queue is kept full by
+// conversational fillers, each re-enqueued from its predecessor's
+// OnDone, so a forward finds it full at every completion of the
+// transfer and parks. A parked forward keeps its packet's window slot:
+// at every packet's first hop-0 exchange, the packets that aired hop 0
+// but not yet hop 1 number at most the window (two) plus the relay's
+// queue capacity (one), however the fillers and the transfer
+// interleave.
+func TestPipelinedParkedForwardsStayWithinWindow(t *testing.T) {
+	const window, queueCap = 2, 1
+	okMsg, _ := aquago.LookupMessage("OK?")
+	net, err := aquago.NewNetwork(aquago.Bridge, aquago.WithNetworkSeed(3),
+		aquago.WithCSRange(relayCSRangeM), aquago.WithTxQueueCapacity(queueCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	hop0, hop1 := map[int]bool{}, map[int]bool{}
+	ahead := 0
+	record := func(hop int) aquago.Trace {
+		return aquago.TraceFunc(func(ev aquago.StageEvent) {
+			if ev.BulkPkts == 0 || ev.Hop != hop {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if hop == 1 {
+				hop1[ev.BulkPkt] = true
+				return
+			}
+			if !hop0[ev.BulkPkt] {
+				hop0[ev.BulkPkt] = true
+				ahead = max(ahead, len(hop0)-len(hop1))
+			}
+		})
+	}
+	var nodes []*aquago.Node
+	for i := 0; i < 3; i++ {
+		var opts []aquago.NodeOption
+		if i < 2 {
+			opts = append(opts, aquago.WithNodeTrace(record(i)))
+		}
+		nd, err := net.Join(aquago.DeviceID(i), aquago.Position{X: float64(i) * relayLineSpacingM, Z: 1}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	ctx := context.Background()
+	stopped := make(chan struct{})
+	var refill func(aquago.TxDelivery)
+	refill = func(aquago.TxDelivery) {
+		select {
+		case <-stopped:
+			return
+		default:
+		}
+		// A full queue (a forward got in first) ends the chain.
+		_, _ = nodes[1].Enqueue(ctx, aquago.TxJob{Dst: 2, Msgs: []uint8{okMsg.ID}, Priority: aquago.TxNormal, OnDone: refill})
+	}
+	if _, err := nodes[1].Enqueue(ctx, aquago.TxJob{Dst: 2, Msgs: []uint8{okMsg.ID}, Priority: aquago.TxNormal, OnDone: refill}); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a payload of twenty packets, forty bytes")
+	res, err := net.SendBulkViaPipelined(ctx, []aquago.DeviceID{0, 1, 2}, payload)
+	close(stopped)
+	var re *aquago.RelayError
+	switch {
+	case err == nil && !bytes.Equal(res.Received, payload):
+		t.Fatalf("clean finish delivered %q", res.Received)
+	case err != nil && !(errors.As(err, &re) && errors.Is(err, aquago.ErrQueueFull)):
+		t.Fatalf("want success or a *RelayError wrapping ErrQueueFull, got %v", err)
+	case !bytes.Equal(res.Received, payload[:len(res.Received)]):
+		t.Fatalf("received bytes are not a payload prefix: %q", res.Received)
+	}
+	if err := net.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	t.Logf("%d of %d packets aired hop 0, %d hop 1, at most %d ahead; err %v",
+		len(hop0), len(payload)/2, len(hop1), ahead, err)
+	if ahead > window+queueCap {
+		t.Fatalf("%d packets aired hop 0 ahead of hop 1, want at most %d (window %d + relay queue %d)",
+			ahead, window+queueCap, window, queueCap)
+	}
+}

@@ -111,10 +111,8 @@ type StreamStats struct {
 	// BytesDelivered the receiver's in-order frontier (bytes available
 	// to Read, whether or not read yet).
 	BytesWritten, BytesAcked, BytesDelivered int
-	// Segments counts distinct segments queued for a first
-	// transmission (on a failed stream, those its failure withdrew
-	// before they aired included); Attempts the physical link-layer
-	// transmission attempts underneath them
+	// Segments counts distinct segments first transmitted; Attempts
+	// the physical link-layer transmission attempts underneath them
 	// (the link protocol's own retries included); Retransmits the ARQ
 	// retransmissions scheduled above the link layer.
 	Segments, Attempts, Retransmits int
@@ -198,8 +196,7 @@ func (nd *Node) OpenStream(ctx context.Context, dst DeviceID, opts ...StreamOpti
 		return nil, err
 	}
 	t := n.newTransfer(ctx, []*Node{nd, peer}, nil, 0)
-	t.unitBytes, t.seqFramed, t.window, t.ackHops = 1, true, cfg.window, true
-	t.retries, t.rtoS = cfg.maxRetries, cfg.rtoS
+	t.stream, t.window, t.retries, t.rtoS = true, cfg.window, cfg.maxRetries, cfg.rtoS
 	return &Stream{t: t, startS: startS}, nil
 }
 
@@ -259,8 +256,8 @@ func (s *Stream) Read(p []byte) (int, error) {
 	defer t.n.tx.mu.Unlock()
 	for {
 		switch {
-		case s.readOff < len(t.rx):
-			k := copy(p, t.rx[s.readOff:])
+		case s.readOff < t.front:
+			k := copy(p, t.data[s.readOff:t.front])
 			s.readOff += k
 			return k, nil
 		case t.sealed && t.front == len(t.units):

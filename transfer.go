@@ -20,8 +20,9 @@ import (
 // The engine owns admission, the handle table, per-unit retry budgets,
 // parked hops, the ordered withdrawal on failure and the destination's
 // in-order record. What differs between its three callers —
-// SendBulkVia, SendBulkViaPipelined and Node.OpenStream — is a handful
-// of plain fields those constructors set; none is user-settable.
+// SendBulkVia, SendBulkViaPipelined and Node.OpenStream — is whether
+// the transfer is a stream, its window and its retry budget, set by
+// those constructors; none of the rest is user-settable.
 
 // retryBackoffCap caps the retransmission backoff exponent of every
 // transfer.
@@ -65,43 +66,38 @@ type transfer struct {
 	cancel context.CancelFunc
 	nodes  []*Node
 	path   []DeviceID
-	// data is the payload; unit u carries the unitBytes bytes from
-	// data[u*unitBytes] (fewer for a short final unit).
+	// data is the payload: unit u is byte u of a stream, bytes 2u and
+	// 2u+1 of a bulk payload (one for a short final unit).
 	data []byte
 
-	// Per-caller fields, set by the constructors.
-	unitBytes int  // 2 for bulk, 1 for the stream
-	seqFramed bool // frames are [seq mod 256, byte] (stream), else [d0, d1]
-	window    int
-	// freeAtHop0 frees a unit's window slot once it clears hop 0 (the
-	// pipelined relay, counted); otherwise a slot frees when the
-	// cumulative end-to-end frontier base passes it.
-	freeAtHop0 bool
-	// ackHops completes a hop on acknowledgment for the sender and on
-	// possession for the receiver (the stream); otherwise possession
-	// completes it for both (bulk, hopFailed).
-	ackHops bool
-	// reroute splices the path under motion before every hop job (the
-	// one-packet relay: with more in flight, units would disagree about
-	// the path).
-	reroute bool
-	// stamp tags StageEvents with the hop and packet context (bulk).
-	stamp bool
-	// keepPrefix lets units before a failed one finish (bulk); without
-	// it a failure withdraws every unit (the stream).
-	keepPrefix bool
-	retries    int     // per-unit retransmission budget on each hop
-	rtoS       float64 // retryFloorS quantum; 0 means the node's own
+	// Per-caller fields, set by the constructors. A stream frames a
+	// unit as [seq mod 256, byte]; its hop completes on acknowledgment
+	// for the sender and on possession for the receiver, and a failure
+	// withdraws every unit. A bulk transfer frames [d0, d1], completes
+	// a hop on possession for both (hopFailed), stamps StageEvents with
+	// the hop and packet, and lets the units before a failed one
+	// finish. A window frees its slots as the cumulative end-to-end
+	// base passes them, except in the pipelined relay (bulk, window
+	// above one), where a slot frees once its unit is past hop 0; only
+	// the one-packet relay (bulk, window one) splices its path under
+	// motion, since with more in flight units would disagree about it.
+	stream  bool
+	window  int
+	retries int     // per-unit retransmission budget on each hop
+	rtoS    float64 // retryFloorS quantum; 0 means the node's own
 	// sealed marks that no more units will be added: bulk from the
 	// start, the stream at CloseWrite.
 	sealed bool
 
-	units   []unitState
-	next    int // first unit not yet admitted
-	base    int // lowest unit not complete end to end
-	cleared int // units that cleared hop 0
-	live    int // units with a job queued or on the air
-	acked   int // units complete end to end
+	units []unitState
+	next  int // first unit not yet admitted
+	base  int // lowest unit not complete end to end
+	live  int // units with a job queued or on the air
+	acked int // units complete end to end
+	// cleared counts the units past hop 0: their forward is queued, or
+	// hop 0 was the last. A forward parked at a full relay keeps its
+	// unit's pipelined window slot, so parked hops are no hidden queue.
+	cleared int
 	// parked holds hops waiting to queue: forwards and retries, in the
 	// order they became due, until the transfer's next pump.
 	parked                          []parkedHop
@@ -120,12 +116,11 @@ type transfer struct {
 	// destination's record or the transfer's state changes.
 	wake chan struct{}
 
-	// The destination's in-order record: the frontier front, the units
-	// arrived beyond it, the delivered bytes in order, and the time the
-	// frontier covered each unit.
+	// The destination's in-order record: the frontier front (every
+	// unit below it delivered in order), the units arrived beyond it,
+	// and the time the frontier covered each unit.
 	front, pending   int
 	maxReorder, dups int
-	rx               []byte
 	frontS           []float64
 }
 
@@ -171,11 +166,6 @@ func (t *transfer) setNodes(nodes []*Node) {
 	}
 }
 
-// chunk returns unit u's payload bytes.
-func (t *transfer) chunk(u int) []byte {
-	return t.data[u*t.unitBytes : min((u+1)*t.unitBytes, len(t.data))]
-}
-
 // pumpLocked queues parked hops whose sender has queue space, in the
 // order they parked, then admits new units at the source while the
 // window allows. A hop that finds its sender's queue full stays parked
@@ -216,7 +206,7 @@ func (t *transfer) pumpLocked() {
 
 // freed counts the units whose window slots are free again.
 func (t *transfer) freed() int {
-	if t.freeAtHop0 {
+	if !t.stream && t.window > 1 {
 		return t.cleared
 	}
 	return t.base
@@ -228,7 +218,7 @@ func (t *transfer) freed() int {
 // held).
 func (t *transfer) sendLocked(p parkedHop) bool {
 	u, hop := p.u, p.hop
-	if t.reroute {
+	if !t.stream && t.window == 1 {
 		if err := t.rerouteLocked(hop); err != nil {
 			t.failLocked(u, hop, err)
 			return true
@@ -239,13 +229,11 @@ func (t *transfer) sendLocked(p parkedHop) bool {
 		return false
 	}
 	var frame [2]byte
-	if t.seqFramed {
+	var rc relayCtx
+	if t.stream {
 		frame = [2]byte{byte(u % streamSeqSpace), t.data[u]}
 	} else {
-		copy(frame[:], t.chunk(u))
-	}
-	var rc relayCtx
-	if t.stamp {
+		copy(frame[:], t.data[2*u:min(2*u+2, len(t.data))])
 		rc = relayCtx{hop: hop, pathHops: len(t.nodes) - 1, bulkPkt: u, bulkPkts: len(t.units)}
 	}
 	h, err := t.n.txEnqueueLocked(nd, t.nodes[hop+1], TxBulk, p.floorS, &frame, 0, 0, rc, t.ctx, nil,
@@ -256,6 +244,9 @@ func (t *transfer) sendLocked(p parkedHop) bool {
 	}
 	t.units[u].job = h.job
 	t.live++
+	if hop == 1 && t.units[u].tries == 0 {
+		t.cleared++ // a forward, not a retry
+	}
 	return true
 }
 
@@ -300,9 +291,6 @@ func (t *transfer) hopDoneLocked(u, hop int, d TxDelivery) {
 	case err != nil:
 		t.failLocked(u, hop, err)
 	default:
-		if hop == 0 {
-			t.cleared++
-		}
 		us.tries = 0
 		if hop+2 < len(t.nodes) {
 			// Forward: the next relay holds the unit once the last
@@ -310,6 +298,9 @@ func (t *transfer) hopDoneLocked(u, hop int, d TxDelivery) {
 			// turnaround. The retry budget restarts per hop.
 			t.parked = append(t.parked, parkedHop{u, hop + 1, d.EndS + relayTurnaroundS})
 			break
+		}
+		if hop == 0 {
+			t.cleared++
 		}
 		us.done = true
 		t.acked++
@@ -326,7 +317,7 @@ func (t *transfer) hopDoneLocked(u, hop int, d TxDelivery) {
 // the unit, and the error that keeps the sender from counting the hop
 // done (nil when it is done).
 func (t *transfer) hopOutcome(d TxDelivery) (held bool, err error) {
-	if !t.ackHops {
+	if !t.stream {
 		err = hopFailed(d.Result, d.Err)
 		return err == nil, err
 	}
@@ -342,7 +333,7 @@ func (t *transfer) hopOutcome(d TxDelivery) (held bool, err error) {
 // on band at endS. Duplicates are counted and dropped, and the frontier
 // advances over contiguous arrivals (tx.mu held).
 func (t *transfer) arriveLocked(u int, band Band, endS float64) {
-	if t.seqFramed {
+	if t.stream {
 		// Demap the 8-bit on-air sequence number relative to the
 		// frontier: half a space behind it is a duplicate of a unit
 		// already advanced past (only its ACK was lost).
@@ -362,7 +353,6 @@ func (t *transfer) arriveLocked(u int, band Band, endS float64) {
 	t.pending++
 	t.maxReorder = max(t.maxReorder, t.pending)
 	for ; t.front < len(t.units) && t.units[t.front].arrived; t.front++ {
-		t.rx = append(t.rx, t.chunk(t.front)...)
 		t.frontS = append(t.frontS, endS)
 		t.pending--
 	}
@@ -375,19 +365,19 @@ func (t *transfer) arriveLocked(u int, band Band, endS float64) {
 // synchronously and change nothing), inflight ones get their contexts
 // cancelled and resolve through their own completions (tx.mu held).
 func (t *transfer) failLocked(u, hop int, err error) {
-	if t.err != nil && (!t.keepPrefix || u >= t.cut) {
+	if t.err != nil && (t.stream || u >= t.cut) {
 		return
 	}
 	switch {
 	case u < 0:
-	case t.seqFramed:
+	case t.stream:
 		err = &StreamError{Seq: u, From: t.path[0], To: t.path[1], Err: err}
 	default:
 		err = &RelayError{Hop: hop, From: t.path[hop], To: t.path[hop+1], Path: t.path, Pkt: u, Err: err}
 	}
-	t.err, t.cut = err, -1
-	if t.keepPrefix {
-		t.cut = u
+	t.err, t.cut = err, u
+	if t.stream {
+		t.cut = -1
 	}
 	kept := t.parked[:0]
 	for _, p := range t.parked {
