@@ -49,6 +49,7 @@ import (
 	"aquago/internal/app"
 	"aquago/internal/audio"
 	"aquago/internal/channel"
+	"aquago/internal/dsp"
 	"aquago/internal/modem"
 	"aquago/internal/phy"
 )
@@ -198,18 +199,7 @@ func (mo *Modem) EncodeToWAV(path string, dst DeviceID, first, second uint8) err
 		return err
 	}
 	// Normalize for playback headroom.
-	peak := 0.0
-	for _, v := range wave {
-		if a := abs(v); a > peak {
-			peak = a
-		}
-	}
-	if peak > 0 {
-		for i := range wave {
-			wave[i] *= 0.9 / peak
-		}
-	}
-	return audio.WriteWAVFile(path, wave, mo.SampleRate())
+	return audio.WriteWAVFile(path, dsp.Normalize(wave, 0.9), mo.SampleRate())
 }
 
 // DecodeFromWAV reads a WAV file and decodes the first packet in it.
@@ -226,11 +216,4 @@ func (mo *Modem) DecodeFromWAV(path string, self DeviceID) ([]Message, error) {
 		return nil, fmt.Errorf("%w in %s", ErrDecodeFailed, path)
 	}
 	return msgs, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -1,20 +1,17 @@
 // Command aquabench regenerates the paper's evaluation artifacts:
 // every figure and table of §3 has a harness in internal/exp, and
 // this tool runs them and prints the same series the paper plots.
-// Beyond the paper, -macload runs the MAC goodput-vs-offered-load
-// sweep and the capture-effect SIR study on the live Network, and
-// -multihop runs the relay study (bulk goodput/latency vs hop count,
-// relayed goodput vs offered load over line/grid/pod topologies).
+// Beyond the paper, -exp macload,macsir runs the MAC
+// goodput-vs-offered-load sweep and the capture-effect SIR study on
+// the live Network, and -exp multihop runs the relay study (bulk
+// goodput/latency vs hop count, relayed goodput vs offered load over
+// line/grid/pod topologies).
 //
 // Usage:
 //
 //	aquabench -list
 //	aquabench -exp fig09,fig12 [-packets 100] [-seed 1] [-workers 0]
-//	aquabench -macload [-quick] [-json]
-//	aquabench -multihop [-quick] [-json]
-//	aquabench -scale [-quick] [-json]
-//	aquabench -image [-quick] [-json]
-//	aquabench -mobility [-quick] [-json]
+//	aquabench -exp macload,macsir [-quick] [-json]
 //	aquabench -all [-quick] [-json] [-out BENCH_exp.json] [-diff BENCH_exp.json]
 //	aquabench -exp scale -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -27,12 +24,14 @@
 // those. -diff is the CI bench job's exact gate: every experiment this
 // run re-ran must equal its reference entry, else it prints each
 // changed series' largest relative change and exits 1 (2 when the
-// reference has other seed, quick or packets). -scale runs the harbor
-// sweep (250 to 10k nodes; quick mode stops at 1k). -image
-// runs the progressive image transmission study (ARQ stream goodput
-// and time-to-first-usable-preview vs range, hop count and load).
-// -mobility runs the drifting-diver study (bulk relay goodput and
-// route repairs vs drift speed under position epochs).
+// reference has other seed, quick or packets). An -exp ID that is not
+// registered is a usage error (exit 2), caught before anything runs.
+// -exp scale runs the harbor sweep (250 to 10k nodes; quick mode stops
+// at 1k). -exp image runs the progressive image transmission study
+// (ARQ stream goodput and time-to-first-usable-preview vs range, hop
+// count and load). -exp mobility runs the drifting-diver study (bulk
+// relay goodput and route repairs vs drift speed under position
+// epochs).
 // -cpuprofile and -memprofile write runtime/pprof CPU and heap
 // profiles covering the selected experiments, for `go tool pprof`.
 package main
@@ -74,54 +73,25 @@ type benchFile struct {
 	Experiments []benchExperiment `json:"experiments"`
 }
 
-// macloadIDs / multihopIDs / scaleIDs / imageIDs / mobilityIDs are
-// the experiments the shorthand flags select.
-var (
-	macloadIDs  = []string{"macload", "macsir"}
-	multihopIDs = []string{"multihop"}
-	scaleIDs    = []string{"scale"}
-	imageIDs    = []string{"image"}
-	mobilityIDs = []string{"mobility"}
-)
-
-// selectExperiments resolves the selection flags into experiment IDs,
-// de-duplicated in run order.
-func selectExperiments(all, macload, multihop, scale, image, mobility bool, ids string) ([]string, error) {
-	var selected []string
+// selectExperiments resolves -all or the -exp list into registered
+// experiment IDs, de-duplicated in run order.
+func selectExperiments(all bool, ids string) ([]string, error) {
 	switch {
 	case all:
-		selected = exp.IDs()
-	case ids != "":
-		for _, id := range strings.Split(ids, ",") {
-			selected = append(selected, strings.TrimSpace(id))
-		}
+		return exp.IDs(), nil
+	case ids == "":
+		return nil, errors.New("pass -all, -exp id[,id...] or -list")
 	}
-	if macload {
-		selected = append(selected, macloadIDs...)
-	}
-	if multihop {
-		selected = append(selected, multihopIDs...)
-	}
-	if scale {
-		selected = append(selected, scaleIDs...)
-	}
-	if image {
-		selected = append(selected, imageIDs...)
-	}
-	if mobility {
-		selected = append(selected, mobilityIDs...)
-	}
-	if len(selected) == 0 {
-		return nil, errors.New("pass -all, -exp id[,id...], -macload, -multihop, -scale, -image, -mobility or -list")
-	}
-	seen := make(map[string]bool, len(selected))
-	out := selected[:0]
-	for _, id := range selected {
+	var out []string
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
 		if id == "" {
 			return nil, errors.New("-exp contains an empty experiment ID")
 		}
-		if !seen[id] {
-			seen[id] = true
+		if _, ok := exp.Lookup(id); !ok {
+			return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
+		}
+		if !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
@@ -311,11 +281,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	all := flag.Bool("all", false, "run every experiment")
 	ids := flag.String("exp", "", "comma-separated experiment IDs")
-	macload := flag.Bool("macload", false, "run the MAC goodput sweep and capture-effect SIR study (macload, macsir)")
-	multihop := flag.Bool("multihop", false, "run the multi-hop relay study (multihop)")
-	scale := flag.Bool("scale", false, "run the 250-10k-node harbor relay sweep (scale)")
-	image := flag.Bool("image", false, "run the progressive image transmission study (image)")
-	mobility := flag.Bool("mobility", false, "run the drifting-diver mobility study (mobility)")
 	packets := flag.Int("packets", 0, "packets per measurement point (0 = default 100)")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced workloads for a fast pass")
@@ -337,7 +302,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(2)
 	}
-	selected, err := selectExperiments(*all, *macload, *multihop, *scale, *image, *mobility, *ids)
+	selected, err := selectExperiments(*all, *ids)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aquabench:", err)
 		os.Exit(2)

@@ -14,31 +14,19 @@ import (
 
 func TestSelectExperiments(t *testing.T) {
 	cases := []struct {
-		name                                           string
-		all, macload, multihop, scale, image, mobility bool
-		ids                                            string
-		want                                           []string
-		wantErr                                        string
+		name    string
+		ids     string
+		want    []string
+		wantErr string
 	}{
 		{name: "nothing selected", wantErr: "pass -all"},
-		{name: "macload shorthand", macload: true, want: []string{"macload", "macsir"}},
-		{name: "multihop shorthand", multihop: true, want: []string{"multihop"}},
-		{name: "scale shorthand", scale: true, want: []string{"scale"}},
-		{name: "image shorthand", image: true, want: []string{"image"}},
-		{name: "mobility shorthand", mobility: true, want: []string{"mobility"}},
 		{name: "explicit ids", ids: "fig09, fig12", want: []string{"fig09", "fig12"}},
-		{name: "ids plus macload", ids: "fig09", macload: true, want: []string{"fig09", "macload", "macsir"}},
-		{name: "macload deduplicates", ids: "macload", macload: true, want: []string{"macload", "macsir"}},
-		{name: "all shorthands", macload: true, multihop: true, scale: true, image: true, mobility: true,
-			want: []string{"macload", "macsir", "multihop", "scale", "image", "mobility"}},
-		{name: "multihop deduplicates", ids: "multihop", multihop: true, want: []string{"multihop"}},
-		{name: "scale deduplicates", ids: "scale", scale: true, want: []string{"scale"}},
-		{name: "image deduplicates", ids: "image", image: true, want: []string{"image"}},
-		{name: "mobility deduplicates", ids: "mobility", mobility: true, want: []string{"mobility"}},
+		{name: "ids deduplicate", ids: "macload,macsir,macload", want: []string{"macload", "macsir"}},
 		{name: "empty id", ids: "fig09,,fig12", wantErr: "empty experiment ID"},
+		{name: "unknown id", ids: "fig04,fig99", wantErr: `unknown experiment "fig99"`},
 	}
 	for _, tc := range cases {
-		got, err := selectExperiments(tc.all, tc.macload, tc.multihop, tc.scale, tc.image, tc.mobility, tc.ids)
+		got, err := selectExperiments(false, tc.ids)
 		switch {
 		case tc.wantErr != "":
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -46,22 +34,13 @@ func TestSelectExperiments(t *testing.T) {
 			}
 		case err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)
-		default:
-			if len(got) != len(tc.want) {
-				t.Errorf("%s: selected %v, want %v", tc.name, got, tc.want)
-				continue
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("%s: selected %v, want %v", tc.name, got, tc.want)
-					break
-				}
-			}
+		case !slices.Equal(got, tc.want):
+			t.Errorf("%s: selected %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// -all must include the new experiments (the bench job relies on
 	// one invocation covering every gated throughput block).
-	all, err := selectExperiments(true, false, false, false, false, false, "")
+	all, err := selectExperiments(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}

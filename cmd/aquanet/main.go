@@ -8,27 +8,27 @@
 //     enqueueing every message on its node's transmit queue in arrival
 //     order, and reports delivered goodput, latency percentiles,
 //     collision fraction and scheduler counters (the sweep lives in
-//     `aquabench -macload`).
+//     `aquabench -exp macload`).
 //   - relay routes a bulk payload down a multi-hop relay line —
 //     store-and-forward over the carrier-sense MAC, per-packet band
 //     re-adaptation, per-hop progress — and reports end-to-end goodput
-//     and latency (`aquabench -multihop`); -pipelined overlaps packets
+//     and latency (`aquabench -exp multihop`); -pipelined overlaps packets
 //     on non-interfering hops, and -persist/-adaptive-backoff pick the
 //     p-persistent slotted MAC and airtime-scaled backoff quanta.
 //   - scale builds a harbor-scale pod lattice, spatially reusing the
 //     60-tone space under a bounded carrier-sense range, relays
 //     cross-harbor messages and reports delivery counts, hops, makespan
-//     and scheduler counters (`aquabench -scale`).
+//     and scheduler counters (`aquabench -exp scale`).
 //   - stream opens a reliable selective-repeat ARQ stream over a single
 //     link and reports delivery, retransmission and goodput accounting.
 //   - image sends an AquaScope-style progressive image (CRC-8 per
 //     block) over a stream, a relay line (-hops) or concurrent streams
 //     (-streams) and reports image goodput and time-to-first-usable-
-//     preview (`aquabench -image`).
+//     preview (`aquabench -exp image`).
 //   - mobility drifts a diver along a fixed relay line while
 //     bulk-transferring in chunks — one position epoch per chunk — and
 //     reports goodput, motion epochs and route repairs (`aquabench
-//     -mobility`).
+//     -exp mobility`).
 //
 // Every harness defines only its own flags and binds them straight
 // into its internal/exp point, whose Validate rejects what cannot run.
@@ -275,7 +275,7 @@ func fig19Flags(fs *flag.FlagSet) job {
 }
 
 func loadFlags(fs *flag.FlagSet) job {
-	pt := &exp.MacLoadPoint{Pods: 1, CarrierSense: true, Retries: -1}
+	pt := &exp.MacLoadPoint{Pods: 1, CarrierSense: true}
 	fs.IntVar(&pt.PodSize, "nodes", 8, "node count, all offering traffic")
 	fs.Float64Var(&pt.RateHz, "rate", 0.05, "Poisson message rate per node, msg/s")
 	fs.Float64Var(&pt.DurationS, "duration", 120, "arrival window in virtual seconds")
@@ -293,7 +293,7 @@ func loadFlags(fs *flag.FlagSet) job {
 }
 
 func relayFlags(fs *flag.FlagSet) job {
-	pt := &exp.MultiHopPoint{Policy: aquago.MinHop, Retries: -1}
+	pt := &exp.MultiHopPoint{Policy: aquago.MinHop}
 	fs.IntVar(&pt.Hops, "hops", 3, "relay path length in hops")
 	fs.Float64Var(&pt.SpacingM, "spacing", 25, "distance between adjacent relay nodes in meters")
 	fs.IntVar(&pt.PayloadBytes, "bulk", 32, "bulk payload size in bytes")
@@ -319,7 +319,7 @@ func relayFlags(fs *flag.FlagSet) job {
 }
 
 func scaleFlags(fs *flag.FlagSet) job {
-	pt := &exp.ScalePoint{Retries: -1}
+	pt := &exp.ScalePoint{}
 	fs.IntVar(&pt.PodsX, "pods-x", 5, "pod lattice columns")
 	fs.IntVar(&pt.PodsY, "pods-y", 5, "pod lattice rows")
 	fs.IntVar(&pt.PodSize, "podsize", 10, "devices per pod, 1..15")
@@ -364,7 +364,7 @@ func imageFlags(fs *flag.FlagSet) job {
 }
 
 func mobilityFlags(fs *flag.FlagSet) job {
-	pt := &exp.MobilityPoint{Retries: -1}
+	pt := &exp.MobilityPoint{}
 	fs.IntVar(&pt.Hops, "hops", 3, "initial relay path length in hops")
 	fs.Float64Var(&pt.SpacingM, "spacing", 25, "distance between adjacent relay nodes in meters")
 	fs.IntVar(&pt.PayloadBytes, "bulk", 32, "bulk payload size in bytes")

@@ -105,7 +105,7 @@ func checkFlags[P any](t *testing.T, harness string, def P, cases []flagCase[P])
 // budgets are rejected naming the offending flag or limit.
 func TestBuildLoadPoint(t *testing.T) {
 	def := exp.MacLoadPoint{Pods: 1, PodSize: 8, RateHz: 0.05, DurationS: 120,
-		CarrierSense: true, Seed: 1, Retries: -1, Env: aquago.Bridge}
+		CarrierSense: true, Seed: 1, Env: aquago.Bridge}
 	checkFlags(t, "load", def, []flagCase[exp.MacLoadPoint]{
 		{args: ""},
 		{args: "-mode waveform", set: func(p *exp.MacLoadPoint) { p.Mode = aquago.WaveformContention }},
@@ -141,7 +141,7 @@ func TestBuildLoadPoint(t *testing.T) {
 // apart on what is buildable.
 func TestBuildScalePoint(t *testing.T) {
 	def := exp.ScalePoint{PodsX: 5, PodsY: 5, PodSize: 10, Msgs: 8,
-		Seed: 1, Retries: -1, Env: aquago.Bridge}
+		Seed: 1, Env: aquago.Bridge}
 	checkFlags(t, "scale", def, []flagCase[exp.ScalePoint]{
 		{args: ""},
 		{args: "-csrange 0"},
@@ -219,7 +219,7 @@ func TestBuildImagePoint(t *testing.T) {
 // drift apart on what is runnable.
 func TestBuildRelayPoint(t *testing.T) {
 	def := exp.MultiHopPoint{Hops: 3, SpacingM: 25, PayloadBytes: 32,
-		Policy: aquago.MinHop, Seed: 1, Retries: -1, Env: aquago.Bridge}
+		Policy: aquago.MinHop, Seed: 1, Env: aquago.Bridge}
 	checkFlags(t, "relay", def, []flagCase[exp.MultiHopPoint]{
 		{args: ""},
 		{args: "-mode waveform -policy minetx", set: func(p *exp.MultiHopPoint) {
@@ -254,7 +254,7 @@ func TestBuildRelayPoint(t *testing.T) {
 // error, and run prints nothing on stdout for either.
 func TestHarnessFlags(t *testing.T) {
 	def := exp.MobilityPoint{Hops: 3, SpacingM: 25, PayloadBytes: 32,
-		ChunkBytes: 8, DriftSpeedMS: 1, Seed: 1, Retries: -1, Env: aquago.Bridge}
+		ChunkBytes: 8, DriftSpeedMS: 1, Seed: 1, Env: aquago.Bridge}
 	checkFlags(t, "mobility", def, []flagCase[exp.MobilityPoint]{
 		{args: ""},
 		{args: "-drift 2 -pipelined", set: func(p *exp.MobilityPoint) { p.DriftSpeedMS, p.Pipelined = 2, true }},

@@ -80,11 +80,15 @@ func usableBlocks(received []byte, blocks, blockBytes int) (usable, badCRC int) 
 	return usable, badCRC
 }
 
+// defaultRangeM is the stream and image points' default link length,
+// and the image sweep's concurrent-load range.
+const defaultRangeM = 25.0
+
 // StreamPoint parameterizes one reliable stream transfer over a
 // single link: Bytes payload bytes from a sender to a receiver RangeM
 // meters away, under the selective-repeat ARQ transport.
 type StreamPoint struct {
-	// RangeM separates the endpoints (default 25 m).
+	// RangeM separates the endpoints (default defaultRangeM).
 	RangeM float64
 	// Bytes sizes the payload.
 	Bytes int
@@ -112,7 +116,7 @@ type StreamPoint struct {
 // withDefaults resolves the derived knobs.
 func (p StreamPoint) withDefaults() StreamPoint {
 	if p.RangeM == 0 {
-		p.RangeM = 25
+		p.RangeM = defaultRangeM
 	}
 	if p.Window == 0 {
 		p.Window = aquago.DefaultStreamWindow
@@ -273,7 +277,7 @@ type ImagePoint struct {
 	// Hops hops spaced RangeM apart.
 	Hops int
 	// RangeM is the link length (direct) or hop spacing (relay);
-	// default 25 m.
+	// default defaultRangeM.
 	RangeM float64
 	// Streams is how many identical images cross the pod concurrently
 	// (load axis; only with Hops <= 1). Default 1.
@@ -297,7 +301,7 @@ type ImagePoint struct {
 // withDefaults resolves the derived knobs.
 func (p ImagePoint) withDefaults() ImagePoint {
 	if p.RangeM == 0 {
-		p.RangeM = 25
+		p.RangeM = defaultRangeM
 	}
 	if p.Window == 0 {
 		p.Window = aquago.DefaultStreamWindow
@@ -549,13 +553,12 @@ func runImageRelay(p ImagePoint) (ImageResult, error) {
 // reduced copy directly.
 type imageSweep struct {
 	blocks, blockBytes, previewBlocks int
-	window, retries                   int
+	retries                           int
 	// rangesM sweeps the direct-stream link length; hops the relay
-	// line; streams the concurrent-load axis (at loadRangeM).
-	rangesM    []float64
-	hops       []int
-	streams    []int
-	loadRangeM float64
+	// line; streams the concurrent-load axis (at defaultRangeM).
+	rangesM []float64
+	hops    []int
+	streams []int
 }
 
 func defaultImageSweep(quick bool) imageSweep {
@@ -566,21 +569,17 @@ func defaultImageSweep(quick bool) imageSweep {
 	// purpose: healthy, ARQ-recovering, cliff.
 	if quick {
 		return imageSweep{
-			blocks: 4, blockBytes: 3, previewBlocks: 1,
-			window: aquago.DefaultStreamWindow, retries: 3,
-			rangesM:    []float64{25, 72, 80},
-			hops:       []int{1, 2, 3},
-			streams:    []int{1, 2},
-			loadRangeM: 25,
+			blocks: 4, blockBytes: 3, previewBlocks: 1, retries: 3,
+			rangesM: []float64{25, 72, 80},
+			hops:    []int{1, 2, 3},
+			streams: []int{1, 2},
 		}
 	}
 	return imageSweep{
-		blocks: 8, blockBytes: 7, previewBlocks: 2,
-		window: aquago.DefaultStreamWindow, retries: 4,
-		rangesM:    []float64{25, 50, 65, 72, 76, 80},
-		hops:       []int{1, 2, 3, 4, 5},
-		streams:    []int{1, 2, 3},
-		loadRangeM: 25,
+		blocks: 8, blockBytes: 7, previewBlocks: 2, retries: 4,
+		rangesM: []float64{25, 50, 65, 72, 76, 80},
+		hops:    []int{1, 2, 3, 4, 5},
+		streams: []int{1, 2, 3},
 	}
 }
 
@@ -601,8 +600,8 @@ func imageReport(cfg RunConfig, sw imageSweep) (Report, error) {
 	}
 	base := ImagePoint{
 		Blocks: sw.blocks, BlockBytes: sw.blockBytes, PreviewBlocks: sw.previewBlocks,
-		Window: sw.window, Retries: sw.retries,
-		Mode: aquago.EnvelopeContention,
+		Retries: sw.retries,
+		Mode:    aquago.EnvelopeContention,
 	}
 
 	// Axis 1: one stream vs link range.
@@ -660,7 +659,6 @@ func imageReport(cfg RunConfig, sw imageSweep) (Report, error) {
 	// Axis 3: concurrent images through one collision domain.
 	loadResults, err := parallelMap(cfg.Workers, len(sw.streams), func(i int) (ImageResult, error) {
 		pt := base
-		pt.RangeM = sw.loadRangeM
 		pt.Streams = sw.streams[i]
 		pt.Seed = cfg.Seed + int64(i)*5881
 		return RunImagePoint(pt)
@@ -680,7 +678,7 @@ func imageReport(cfg RunConfig, sw imageSweep) (Report, error) {
 	lastLoad := loadResults[len(loadResults)-1]
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"concurrent images (%.0f m pod): %d stream(s) aggregate %.1f bps, worst preview %.1f s (%d retransmit(s), %d dup(s) absorbed)",
-		sw.loadRangeM, sw.streams[len(sw.streams)-1], lastLoad.GoodputBPS, lastLoad.FirstPreviewS,
+		defaultRangeM, sw.streams[len(sw.streams)-1], lastLoad.GoodputBPS, lastLoad.FirstPreviewS,
 		lastLoad.Retransmits, lastLoad.DupSegments))
 	return rep, nil
 }

@@ -14,12 +14,10 @@ import (
 // band where retransmission fires, a relay line, and a contended pod.
 func tinyImageSweep() imageSweep {
 	return imageSweep{
-		blocks: 4, blockBytes: 3, previewBlocks: 1,
-		window: aquago.DefaultStreamWindow, retries: 3,
-		rangesM:    []float64{25, 72},
-		hops:       []int{1, 2},
-		streams:    []int{1, 2},
-		loadRangeM: 25,
+		blocks: 4, blockBytes: 3, previewBlocks: 1, retries: 3,
+		rangesM: []float64{25, 72},
+		hops:    []int{1, 2},
+		streams: []int{1, 2},
 	}
 }
 

@@ -68,9 +68,6 @@ type MacLoadPoint struct {
 	CSRangeM float64
 	// Seed drives arrivals, destinations, channels and MAC backoffs.
 	Seed int64
-	// Retries is each node's extra attempt budget (< 0 = network
-	// default).
-	Retries int
 	// Workers sizes the network's conflict-graph scheduler pool
 	// (0 = one per core). Results are worker-count independent.
 	Workers int
@@ -241,9 +238,6 @@ func RunMacLoadPoint(p MacLoadPoint) (MacLoadResult, error) {
 	if p.PreambleAware {
 		opts = append(opts, aquago.WithPreambleAwareSense())
 	}
-	if p.Retries >= 0 {
-		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
-	}
 
 	// The probe records when the last committed attempt left the air —
 	// the makespan. Probe calls are serialized by the network; the lock
@@ -371,8 +365,10 @@ type macLoadSweep struct {
 	// of 5 at reuseUtil offered utilization per pod, carrier-sense
 	// range bounded so pods are independent collision domains.
 	reusePods []int
-	reuseUtil float64
 }
+
+// reuseUtil is the spatial-reuse series' offered utilization per pod.
+const reuseUtil = 0.6
 
 func defaultMacLoadSweep(quick bool) macLoadSweep {
 	if quick {
@@ -383,7 +379,6 @@ func defaultMacLoadSweep(quick bool) macLoadSweep {
 			variants:   []int{0, 1},
 			targetMsgs: 10,
 			reusePods:  []int{1, 3},
-			reuseUtil:  0.6,
 		}
 	}
 	return macLoadSweep{
@@ -393,7 +388,6 @@ func defaultMacLoadSweep(quick bool) macLoadSweep {
 		variants:   []int{0, 1, 2},
 		targetMsgs: 48,
 		reusePods:  []int{1, 2, 4, 8},
-		reuseUtil:  0.6,
 	}
 }
 
@@ -425,7 +419,6 @@ func sweepPoint(seed int64, nodes int, u float64, v csVariant, mode aquago.Conte
 		CarrierSense:  v.carrierSense,
 		PreambleAware: v.preambleAware,
 		Seed:          seed,
-		Retries:       -1,
 	}, nil
 }
 
@@ -539,7 +532,7 @@ func macLoadReport(cfg RunConfig, sw macLoadSweep) (Report, error) {
 			return rep, err
 		}
 		const podSize = 5
-		rate := sw.reuseUtil / (airtime * float64(podSize))
+		rate := reuseUtil / (airtime * float64(podSize))
 		reuse, err := parallelMap(cfg.Workers, len(sw.reusePods), func(i int) (MacLoadResult, error) {
 			return RunMacLoadPoint(MacLoadPoint{
 				Pods: sw.reusePods[i], PodSize: podSize,
@@ -549,7 +542,6 @@ func macLoadReport(cfg RunConfig, sw macLoadSweep) (Report, error) {
 				CarrierSense: true,
 				CSRangeM:     40,
 				Seed:         cfg.Seed + int64(i)*6607,
-				Retries:      -1,
 			})
 		})
 		if err != nil {

@@ -22,7 +22,6 @@ func tinyMacLoadSweep() macLoadSweep {
 		variants:   []int{0, 1},
 		targetMsgs: 6,
 		reusePods:  []int{2},
-		reuseUtil:  0.5,
 	}
 }
 
@@ -112,7 +111,6 @@ func TestMacLoadQueuedGoldenSeedsWorkers(t *testing.T) {
 						Mode:         tc.mode,
 						CarrierSense: true,
 						Seed:         seed,
-						Retries:      -1,
 						Workers:      workers,
 					})
 					if err != nil {
@@ -213,8 +211,8 @@ func TestMacLoadPoissonProperties(t *testing.T) {
 }
 
 // TestMacLoadPointValidate walks the rejection paths surfaced by the
-// CLIs (aquanet load, aquabench -macload flags funnel into the same
-// config type).
+// CLIs (aquanet load flags and the aquabench -exp macload sweep funnel
+// into the same config type).
 func TestMacLoadPointValidate(t *testing.T) {
 	good := MacLoadPoint{
 		Pods: 1, PodSize: 5, RateHz: 0.1, DurationS: 60,
@@ -271,7 +269,6 @@ func TestMacLoadSpatialReuseBatchesPods(t *testing.T) {
 		CarrierSense: true,
 		CSRangeM:     40,
 		Seed:         7,
-		Retries:      -1,
 	}
 	one, err := RunMacLoadPoint(pt)
 	if err != nil {

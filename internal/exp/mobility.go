@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"aquago"
@@ -49,7 +50,7 @@ type MobilityPoint struct {
 	// Hops is the initial relay path length: Hops line nodes, so the
 	// route diver -> line start -> ... -> line end is Hops hops.
 	Hops int
-	// SpacingM separates adjacent line nodes (default 25 m).
+	// SpacingM separates adjacent line nodes (default relaySpacingM).
 	SpacingM float64
 	// CSRangeM bounds audibility; 0 derives 1.2 * SpacingM so exactly
 	// the adjacent line nodes hear each other.
@@ -71,9 +72,6 @@ type MobilityPoint struct {
 	Pipelined bool
 	// Seed drives channels, MAC backoffs and the payload bytes.
 	Seed int64
-	// Retries is each node's extra attempt budget (< 0 = network
-	// default).
-	Retries int
 	// Env is the deployment site (zero value = Bridge).
 	Env aquago.Environment
 	// Workers sizes the network's scheduler pool (results are
@@ -85,7 +83,7 @@ type MobilityPoint struct {
 // withDefaults resolves the derived knobs.
 func (p MobilityPoint) withDefaults() MobilityPoint {
 	if p.SpacingM == 0 {
-		p.SpacingM = 25
+		p.SpacingM = relaySpacingM
 	}
 	if p.CSRangeM == 0 {
 		p.CSRangeM = 1.2 * p.SpacingM
@@ -170,19 +168,6 @@ func (r MobilityResult) DeterministicKey() string {
 		r.LatencyS, r.GoodputBPS, r.Failed)
 }
 
-// samePath reports whether two relay paths are identical.
-func samePath(a, b []aquago.DeviceID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RunMobilityPoint drifts the diver down the relay line while bulk
 // transferring, and measures what the motion cost. A relay failure is
 // an outcome, not an error: the result is marked Failed and covers the
@@ -196,15 +181,11 @@ func RunMobilityPoint(p MobilityPoint) (MobilityResult, error) {
 	if env.Name == "" {
 		env = aquago.Bridge
 	}
-	opts := []aquago.NetworkOption{
+	net, err := aquago.NewNetwork(env,
 		aquago.WithNetworkSeed(p.Seed),
 		aquago.WithCSRange(p.CSRangeM),
 		aquago.WithNetworkWorkers(p.Workers),
-	}
-	if p.Retries >= 0 {
-		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
-	}
-	net, err := aquago.NewNetwork(env, opts...)
+	)
 	if err != nil {
 		return MobilityResult{}, err
 	}
@@ -260,7 +241,7 @@ func RunMobilityPoint(p MobilityPoint) (MobilityResult, error) {
 			if err != nil {
 				return res, fmt.Errorf("mobility: routing chunk at byte %d: %w", off, err)
 			}
-			if path != nil && !samePath(fresh, path) {
+			if path != nil && !slices.Equal(fresh, path) {
 				res.Reroutes++
 			}
 			path = fresh
@@ -368,7 +349,6 @@ func mobilityReport(cfg RunConfig, sw mobilitySweep) (Report, error) {
 			ChunkBytes:   sw.chunkBytes,
 			DriftSpeedMS: c.speed,
 			Seed:         cfg.Seed + int64(i)*5407,
-			Retries:      -1,
 			Pipelined:    c.pipelined,
 		})
 	})

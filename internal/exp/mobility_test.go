@@ -54,7 +54,6 @@ func TestMobilityDriftingDiverReroutes(t *testing.T) {
 		ChunkBytes:   4,
 		DriftSpeedMS: 2,
 		Seed:         3,
-		Retries:      -1,
 	}
 	res, err := RunMobilityPoint(pt)
 	if err != nil {
@@ -102,7 +101,6 @@ func TestMobilityRelayFailureIsAnOutcome(t *testing.T) {
 		ChunkBytes:   4,
 		DriftSpeedMS: 0.5,
 		Seed:         1 + 2*5407, // the full-size sweep's seed for this point
-		Retries:      -1,
 	})
 	if err != nil {
 		t.Fatalf("relay failure surfaced as an error: %v", err)
@@ -130,7 +128,6 @@ func TestMobilityDeterminismAcrossWorkers(t *testing.T) {
 			ChunkBytes:   4,
 			DriftSpeedMS: 2,
 			Seed:         9,
-			Retries:      -1,
 			Pipelined:    pipelined,
 		}
 		pt.Workers = 1

@@ -27,6 +27,19 @@ func init() {
 // queue an unbounded packet train.
 const maxBulkBytes = 4096
 
+// relaySpacingM is the default distance between adjacent relay-line
+// nodes, and the spacing of every load topology's line and grid.
+const relaySpacingM = 25
+
+// loadCSRangeM bounds audibility on every load topology: on a line or
+// grid only adjacent nodes hear each other, and a pod (14 m radius)
+// is one collision domain.
+const loadCSRangeM = 1.2 * relaySpacingM
+
+// pipePersist is the pipelined series' p-persistent transmit
+// probability.
+const pipePersist = 0.7
+
 // MultiHopPoint parameterizes one bulk relay transfer on a line of
 // Hops+1 nodes, SpacingM apart, with carrier sense bounded to
 // CSRangeM so only adjacent nodes are audible and the route must
@@ -34,7 +47,7 @@ const maxBulkBytes = 4096
 type MultiHopPoint struct {
 	// Hops is the relay path length (nodes = Hops + 1).
 	Hops int
-	// SpacingM separates adjacent line nodes (default 25 m).
+	// SpacingM separates adjacent line nodes (default relaySpacingM).
 	SpacingM float64
 	// CSRangeM bounds audibility; 0 derives 1.2 * SpacingM so exactly
 	// the adjacent nodes hear each other.
@@ -47,9 +60,6 @@ type MultiHopPoint struct {
 	Policy aquago.RoutingPolicy
 	// Seed drives channels, MAC backoffs and the payload bytes.
 	Seed int64
-	// Retries is each node's extra attempt budget (< 0 = network
-	// default).
-	Retries int
 	// Env is the deployment site (zero value = Bridge).
 	Env aquago.Environment
 	// Trace, when non-nil, observes every hop exchange's stage events
@@ -69,15 +79,12 @@ type MultiHopPoint struct {
 	// committed exchange's actual airtime instead of the full-band
 	// worst case.
 	AdaptiveBackoff bool
-	// Workers sizes the network's scheduler pool (results are
-	// worker-count independent).
-	Workers int
 }
 
 // withDefaults resolves the derived knobs.
 func (p MultiHopPoint) withDefaults() MultiHopPoint {
 	if p.SpacingM == 0 {
-		p.SpacingM = 25
+		p.SpacingM = relaySpacingM
 	}
 	if p.CSRangeM == 0 {
 		p.CSRangeM = 1.2 * p.SpacingM
@@ -143,10 +150,6 @@ func RunMultiHopPoint(p MultiHopPoint) (MultiHopResult, error) {
 		aquago.WithContentionMode(p.Mode),
 		aquago.WithCSRange(p.CSRangeM),
 		aquago.WithRouting(p.Policy),
-		aquago.WithNetworkWorkers(p.Workers),
-	}
-	if p.Retries >= 0 {
-		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
 	}
 	if p.Trace != nil {
 		opts = append(opts, aquago.WithNetworkTrace(p.Trace))
@@ -195,36 +198,31 @@ func RunMultiHopPoint(p MultiHopPoint) (MultiHopResult, error) {
 	return out, nil
 }
 
-// MultiHopLoadPoint parameterizes offered load over a relay topology:
-// every node offers Poisson single-packet messages to seeded random
-// destinations, each delivered over its routed relay path.
+// MultiHopLoadPoint parameterizes offered load over a relay topology
+// at the Bridge site in envelope mode: every node offers Poisson
+// single-packet messages to seeded random destinations, each delivered
+// over its routed relay path.
 type MultiHopLoadPoint struct {
 	// Topo picks the geometry: "line" (A nodes in a row), "grid"
 	// (A x B lattice), or "pods" (A pods of B nodes, podGapM apart —
 	// mostly-direct routes within several independent collision
-	// domains).
+	// domains). Line and grid nodes sit relaySpacingM apart.
 	Topo string
 	A, B int
-	// SpacingM separates adjacent nodes (line, grid).
-	SpacingM float64
-	// CSRangeM bounds audibility; 0 derives 1.2 * SpacingM (line,
-	// grid) or 30 m (pods).
-	CSRangeM float64
 	// RateHz is each node's Poisson message rate; DurationS the
 	// arrival window.
 	RateHz    float64
 	DurationS float64
-	// Mode selects envelope or waveform contention.
-	Mode aquago.ContentionMode
 	// Seed drives arrivals, destinations, channels and MAC backoffs.
 	Seed int64
-	// Retries is each node's extra attempt budget (< 0 = default).
-	Retries int
-	// Workers sizes the network's scheduler pool (results are
-	// worker-count independent).
-	Workers int
-	// Env is the deployment site (zero value = Bridge).
-	Env aquago.Environment
+}
+
+// nodes counts the topology's nodes.
+func (p MultiHopLoadPoint) nodes() int {
+	if p.Topo == "line" {
+		return p.A
+	}
+	return p.A * p.B
 }
 
 // topoPositions lays the load topologies out.
@@ -233,7 +231,7 @@ func (p MultiHopLoadPoint) topoPositions() ([]aquago.Position, error) {
 	case "line":
 		out := make([]aquago.Position, p.A)
 		for i := range out {
-			out[i] = aquago.Position{X: float64(i) * p.SpacingM, Z: 1}
+			out[i] = aquago.Position{X: float64(i) * relaySpacingM, Z: 1}
 		}
 		return out, nil
 	case "grid":
@@ -241,8 +239,8 @@ func (p MultiHopLoadPoint) topoPositions() ([]aquago.Position, error) {
 		for r := 0; r < p.A; r++ {
 			for c := 0; c < p.B; c++ {
 				out = append(out, aquago.Position{
-					X: float64(c) * p.SpacingM,
-					Y: float64(r) * p.SpacingM,
+					X: float64(c) * relaySpacingM,
+					Y: float64(r) * relaySpacingM,
 					Z: 1,
 				})
 			}
@@ -254,47 +252,23 @@ func (p MultiHopLoadPoint) topoPositions() ([]aquago.Position, error) {
 	return nil, fmt.Errorf("multihop: unknown topology %q (line, grid, pods)", p.Topo)
 }
 
-// withDefaults resolves derived knobs.
-func (p MultiHopLoadPoint) withDefaults() MultiHopLoadPoint {
-	if p.SpacingM == 0 {
-		p.SpacingM = 25
-	}
-	if p.CSRangeM == 0 {
-		if p.Topo == "pods" {
-			p.CSRangeM = 30
-		} else {
-			p.CSRangeM = 1.2 * p.SpacingM
-		}
-	}
-	return p
-}
-
 // Validate rejects unusable load points.
 func (p MultiHopLoadPoint) Validate() error {
-	q := p.withDefaults()
-	nodes := q.A
-	switch q.Topo {
-	case "grid", "pods":
-		nodes = q.A * q.B
-	}
+	nodes := p.nodes()
 	switch {
-	case q.Topo != "line" && q.Topo != "grid" && q.Topo != "pods":
-		return fmt.Errorf("multihop: unknown topology %q (line, grid, pods)", q.Topo)
-	case q.Topo == "line" && q.A < 2, q.Topo != "line" && (q.A < 1 || q.B < 2):
-		return fmt.Errorf("multihop: topology %q needs at least two reachable nodes (A=%d B=%d)", q.Topo, q.A, q.B)
+	case p.Topo != "line" && p.Topo != "grid" && p.Topo != "pods":
+		return fmt.Errorf("multihop: unknown topology %q (line, grid, pods)", p.Topo)
+	case p.Topo == "line" && p.A < 2, p.Topo != "line" && (p.A < 1 || p.B < 2):
+		return fmt.Errorf("multihop: topology %q needs at least two reachable nodes (A=%d B=%d)", p.Topo, p.A, p.B)
 	case nodes > 60:
 		return fmt.Errorf("multihop: %d nodes exceed the 60-device network limit", nodes)
-	case math.IsNaN(q.SpacingM) || math.IsInf(q.SpacingM, 0) || q.SpacingM <= 0:
-		return fmt.Errorf("multihop: node spacing %v m is not a usable distance", q.SpacingM)
-	case math.IsNaN(q.RateHz) || math.IsInf(q.RateHz, 0) || q.RateHz <= 0:
-		return fmt.Errorf("multihop: offered rate %v msg/s is not usable", q.RateHz)
-	case math.IsNaN(q.DurationS) || math.IsInf(q.DurationS, 0) || q.DurationS <= 0:
-		return fmt.Errorf("multihop: duration %v s is not usable", q.DurationS)
-	case float64(nodes)*q.RateHz*q.DurationS > maxOfferedMsgs:
+	case math.IsNaN(p.RateHz) || math.IsInf(p.RateHz, 0) || p.RateHz <= 0:
+		return fmt.Errorf("multihop: offered rate %v msg/s is not usable", p.RateHz)
+	case math.IsNaN(p.DurationS) || math.IsInf(p.DurationS, 0) || p.DurationS <= 0:
+		return fmt.Errorf("multihop: duration %v s is not usable", p.DurationS)
+	case float64(nodes)*p.RateHz*p.DurationS > maxOfferedMsgs:
 		return fmt.Errorf("multihop: %g expected messages exceed the %d cap",
-			float64(nodes)*q.RateHz*q.DurationS, maxOfferedMsgs)
-	case q.Mode != aquago.EnvelopeContention && q.Mode != aquago.WaveformContention:
-		return fmt.Errorf("multihop: unknown contention mode %d", q.Mode)
+			float64(nodes)*p.RateHz*p.DurationS, maxOfferedMsgs)
 	}
 	return nil
 }
@@ -343,25 +317,12 @@ func RunMultiHopLoadPoint(p MultiHopLoadPoint) (MultiHopLoadResult, error) {
 	if err := p.Validate(); err != nil {
 		return MultiHopLoadResult{}, err
 	}
-	p = p.withDefaults()
-	env := p.Env
-	if env.Name == "" {
-		env = aquago.Bridge
-	}
 	positions, err := p.topoPositions()
 	if err != nil {
 		return MultiHopLoadResult{}, err
 	}
-	opts := []aquago.NetworkOption{
-		aquago.WithNetworkSeed(p.Seed),
-		aquago.WithContentionMode(p.Mode),
-		aquago.WithCSRange(p.CSRangeM),
-		aquago.WithNetworkWorkers(p.Workers),
-	}
-	if p.Retries >= 0 {
-		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
-	}
-	net, err := aquago.NewNetwork(env, opts...)
+	net, err := aquago.NewNetwork(aquago.Bridge,
+		aquago.WithNetworkSeed(p.Seed), aquago.WithCSRange(loadCSRangeM))
 	if err != nil {
 		return MultiHopLoadResult{}, err
 	}
@@ -472,12 +433,9 @@ type multiHopSweep struct {
 	// targetMsgs sizes each load point's arrival window.
 	targetMsgs int
 	// pipeHops lists hop counts for the pipelined-bulk series
-	// (envelope mode, async transmit queues); empty skips it.
+	// (envelope mode, async transmit queues, the p-persistent slotted
+	// MAC at pipePersist and adaptive backoff quanta); empty skips it.
 	pipeHops []int
-	// pipePersist / pipeAdaptive configure the pipelined series' MAC:
-	// p-persistent slotted contention and adaptive backoff quanta.
-	pipePersist  float64
-	pipeAdaptive bool
 }
 
 func defaultMultiHopSweep(quick bool) multiHopSweep {
@@ -493,8 +451,6 @@ func defaultMultiHopSweep(quick bool) multiHopSweep {
 			loadTopos:    []MultiHopLoadPoint{{Topo: "line", A: 4}, grid, pods},
 			targetMsgs:   10,
 			pipeHops:     []int{1, 2, 3},
-			pipePersist:  0.7,
-			pipeAdaptive: true,
 		}
 	}
 	return multiHopSweep{
@@ -505,8 +461,6 @@ func defaultMultiHopSweep(quick bool) multiHopSweep {
 		loadTopos:    []MultiHopLoadPoint{line, grid, pods},
 		targetMsgs:   24,
 		pipeHops:     []int{1, 2, 3, 4, 5},
-		pipePersist:  0.7,
-		pipeAdaptive: true,
 	}
 }
 
@@ -549,7 +503,6 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 			PayloadBytes: sw.payloadBytes,
 			Mode:         c.mode,
 			Seed:         cfg.Seed + int64(i)*3571,
-			Retries:      -1,
 		})
 	})
 	if err != nil {
@@ -593,10 +546,9 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 				// Seed matches the sequential envelope point at the same
 				// index, so the two series differ only in machinery.
 				Seed:            cfg.Seed + int64(i)*3571,
-				Retries:         -1,
 				Pipelined:       true,
-				Persist:         sw.pipePersist,
-				AdaptiveBackoff: sw.pipeAdaptive,
+				Persist:         pipePersist,
+				AdaptiveBackoff: true,
 			})
 		})
 		if err != nil {
@@ -625,7 +577,7 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 			if s, ok := seq[h]; ok {
 				rep.Notes = append(rep.Notes, fmt.Sprintf(
 					"pipelined envelope bulk (%d B, persist %.2g, adaptive quanta): %d hops %.1f bps vs %.1f bps sequential",
-					sw.payloadBytes, sw.pipePersist, h, pipeResults[i].GoodputBPS, s))
+					sw.payloadBytes, pipePersist, h, pipeResults[i].GoodputBPS, s))
 				break
 			}
 		}
@@ -648,17 +600,12 @@ func multiHopReport(cfg RunConfig, sw multiHopSweep) (Report, error) {
 	}
 	loadResults, err := parallelMap(cfg.Workers, len(loadCoords), func(i int) (MultiHopLoadResult, error) {
 		c := loadCoords[i]
-		pt := sw.loadTopos[c.topo].withDefaults()
-		nodes := pt.A
-		if pt.Topo != "line" {
-			nodes = pt.A * pt.B
-		}
+		pt := sw.loadTopos[c.topo]
+		nodes := pt.nodes()
 		rate := c.u / (airtime * float64(nodes))
 		pt.RateHz = rate
 		pt.DurationS = float64(sw.targetMsgs) / (rate * float64(nodes))
-		pt.Mode = aquago.EnvelopeContention
 		pt.Seed = cfg.Seed + int64(i)*4391
-		pt.Retries = -1
 		return RunMultiHopLoadPoint(pt)
 	})
 	if err != nil {

@@ -23,10 +23,8 @@ func tinyMultiHopSweep() multiHopSweep {
 			{Topo: "line", A: 4},
 			{Topo: "pods", A: 2, B: 3},
 		},
-		targetMsgs:   6,
-		pipeHops:     []int{1, 3},
-		pipePersist:  0.7,
-		pipeAdaptive: true,
+		targetMsgs: 6,
+		pipeHops:   []int{1, 3},
 	}
 }
 
@@ -88,13 +86,13 @@ func TestMultiHopGoldenSeedsWorkers(t *testing.T) {
 // forward: each hop retransmits the full payload).
 func TestMultiHopBulkConservation(t *testing.T) {
 	one, err := RunMultiHopPoint(MultiHopPoint{
-		Hops: 1, PayloadBytes: 6, Mode: aquago.EnvelopeContention, Seed: 3, Retries: -1,
+		Hops: 1, PayloadBytes: 6, Mode: aquago.EnvelopeContention, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	three, err := RunMultiHopPoint(MultiHopPoint{
-		Hops: 3, PayloadBytes: 6, Mode: aquago.EnvelopeContention, Seed: 3, Retries: -1,
+		Hops: 3, PayloadBytes: 6, Mode: aquago.EnvelopeContention, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +153,7 @@ func TestMultiHopPointValidate(t *testing.T) {
 
 // TestMultiHopLoadPointValidate covers the load-point rejections.
 func TestMultiHopLoadPointValidate(t *testing.T) {
-	good := MultiHopLoadPoint{Topo: "line", A: 4, RateHz: 0.05, DurationS: 60,
-		Mode: aquago.EnvelopeContention}
+	good := MultiHopLoadPoint{Topo: "line", A: 4, RateHz: 0.05, DurationS: 60}
 	cases := []struct {
 		name    string
 		mutate  func(*MultiHopLoadPoint)
@@ -172,7 +169,6 @@ func TestMultiHopLoadPointValidate(t *testing.T) {
 		{"NaN rate", func(p *MultiHopLoadPoint) { p.RateHz = math.NaN() }, "not usable"},
 		{"zero duration", func(p *MultiHopLoadPoint) { p.DurationS = 0 }, "not usable"},
 		{"schedule blow-up", func(p *MultiHopLoadPoint) { p.RateHz = 1e4; p.DurationS = 1e4 }, "cap"},
-		{"bad mode", func(p *MultiHopLoadPoint) { p.Mode = aquago.ContentionMode(5) }, "unknown contention mode"},
 	}
 	for _, tc := range cases {
 		p := good
@@ -196,9 +192,7 @@ func TestMultiHopPodsDeliverLocally(t *testing.T) {
 		Topo: "pods", A: 2, B: 3,
 		RateHz:    0.3,
 		DurationS: 12,
-		Mode:      aquago.EnvelopeContention,
 		Seed:      7,
-		Retries:   -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +216,7 @@ func TestMultiHopPipelinedOutpacesSequential(t *testing.T) {
 	}
 	base := MultiHopPoint{
 		Hops: 3, PayloadBytes: 8, Mode: aquago.EnvelopeContention,
-		Seed: 1, Retries: -1,
+		Seed: 1,
 	}
 	seq, err := RunMultiHopPoint(base)
 	if err != nil {

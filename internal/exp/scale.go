@@ -84,8 +84,6 @@ type ScalePoint struct {
 	Msgs int
 	// Seed drives channels, MAC backoffs, member/message draws.
 	Seed int64
-	// Retries is each node's extra attempt budget (< 0 = default).
-	Retries int
 	// Workers sizes the network's scheduler pool (deterministic fields
 	// of the result are worker-count independent).
 	Workers int
@@ -196,15 +194,11 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 	if env.Name == "" {
 		env = aquago.Bridge
 	}
-	opts := []aquago.NetworkOption{
+	net, err := aquago.NewNetwork(env,
 		aquago.WithNetworkSeed(p.Seed),
 		aquago.WithCSRange(p.CSRangeM),
 		aquago.WithNetworkWorkers(p.Workers),
-	}
-	if p.Retries >= 0 {
-		opts = append(opts, aquago.WithNetworkRetries(p.Retries))
-	}
-	net, err := aquago.NewNetwork(env, opts...)
+	)
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -318,7 +312,6 @@ func scaleReport(cfg RunConfig, sw scaleSweep) (Report, error) {
 		XLabel: "nodes", YLabel: "exchanges"}
 	for i, pt := range sw.points {
 		pt.Seed = cfg.Seed + int64(i)*7151
-		pt.Retries = -1
 		pt.Workers = cfg.Workers
 		r, err := RunScalePoint(pt)
 		if err != nil {

@@ -111,7 +111,8 @@ type StreamStats struct {
 	// BytesDelivered the receiver's in-order frontier (bytes available
 	// to Read, whether or not read yet).
 	BytesWritten, BytesAcked, BytesDelivered int
-	// Segments counts distinct segments first transmitted; Attempts
+	// Segments counts distinct segments first transmitted (a segment
+	// withdrawn before its first attempt is not counted); Attempts
 	// the physical link-layer transmission attempts underneath them
 	// (the link protocol's own retries included); Retransmits the ARQ
 	// retransmissions scheduled above the link layer.
@@ -324,7 +325,7 @@ func (s *Stream) Stats() StreamStats {
 	defer t.n.tx.mu.Unlock()
 	return StreamStats{
 		BytesWritten: len(t.data), BytesAcked: t.acked, BytesDelivered: t.front,
-		Segments: t.next, Attempts: t.attempts, Retransmits: t.retransmits,
+		Segments: t.aired, Attempts: t.attempts, Retransmits: t.retransmits,
 		DupSegments: t.dups, MaxReorder: t.maxReorder, Window: t.window,
 		StartS: s.startS, EndS: t.endS,
 	}

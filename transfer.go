@@ -102,6 +102,7 @@ type transfer struct {
 	// order they became due, until the transfer's next pump.
 	parked                          []parkedHop
 	attempts, retransmits, reroutes int
+	aired                           int     // units with unitState.aired set
 	endS                            float64 // latest EndS of any job
 
 	// err is the failure, wrapped for the caller (nil while healthy).
@@ -129,6 +130,7 @@ type unitState struct {
 	job   *txJob // its queued or on-air hop job
 	tries int    // retransmissions on its current hop
 	done  bool   // complete end to end
+	aired bool   // a hop-0 job of it made an attempt on the air
 	// arrived, band and endS describe its arrival at the destination.
 	arrived bool
 	band    Band
@@ -274,6 +276,10 @@ func (t *transfer) hopDoneLocked(u, hop int, d TxDelivery) {
 	us.job = nil
 	t.live--
 	t.attempts += d.Result.Attempts
+	if hop == 0 && d.Result.Attempts > 0 && !us.aired {
+		us.aired = true
+		t.aired++
+	}
 	t.endS = max(t.endS, d.EndS)
 	held, err := t.hopOutcome(d)
 	if held && hop+2 == len(t.nodes) {

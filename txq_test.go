@@ -387,14 +387,24 @@ func TestPipelinedBulkMidTransferCancel(t *testing.T) {
 	ch := net.Deliveries()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Deliveries never closes, so the drain stops on stop, and the test
+	// waits for it to exit.
+	stop, drained := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-drained }()
 	go func() {
+		defer close(drained)
 		finals := 0
-		for d := range ch {
-			if d.To == 2 && d.Err == nil {
-				finals++
-				if finals == 2 {
-					cancel()
+		for {
+			select {
+			case d := <-ch:
+				if d.To == 2 && d.Err == nil {
+					finals++
+					if finals == 2 {
+						cancel()
+					}
 				}
+			case <-stop:
+				return
 			}
 		}
 	}()
