@@ -73,10 +73,13 @@ type benchFile struct {
 	Experiments []benchExperiment `json:"experiments"`
 }
 
-// selectExperiments resolves -all or the -exp list into registered
-// experiment IDs, de-duplicated in run order.
+// selectExperiments resolves -all or the -exp list (never both, so no
+// -exp ID goes unchecked) into registered experiment IDs,
+// de-duplicated in run order.
 func selectExperiments(all bool, ids string) ([]string, error) {
 	switch {
+	case all && ids != "":
+		return nil, errors.New("pass -all or -exp, not both")
 	case all:
 		return exp.IDs(), nil
 	case ids == "":

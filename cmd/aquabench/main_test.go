@@ -15,18 +15,20 @@ import (
 func TestSelectExperiments(t *testing.T) {
 	cases := []struct {
 		name    string
+		all     bool
 		ids     string
 		want    []string
 		wantErr string
 	}{
 		{name: "nothing selected", wantErr: "pass -all"},
+		{name: "-all with -exp", all: true, ids: "fig99", wantErr: "not both"},
 		{name: "explicit ids", ids: "fig09, fig12", want: []string{"fig09", "fig12"}},
 		{name: "ids deduplicate", ids: "macload,macsir,macload", want: []string{"macload", "macsir"}},
 		{name: "empty id", ids: "fig09,,fig12", wantErr: "empty experiment ID"},
 		{name: "unknown id", ids: "fig04,fig99", wantErr: `unknown experiment "fig99"`},
 	}
 	for _, tc := range cases {
-		got, err := selectExperiments(false, tc.ids)
+		got, err := selectExperiments(tc.all, tc.ids)
 		switch {
 		case tc.wantErr != "":
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

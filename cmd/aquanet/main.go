@@ -470,13 +470,9 @@ func runMobility(w io.Writer, pt exp.MobilityPoint) error {
 // runScale builds one harbor point and prints the deterministic
 // traffic outcome the scale harness tabulates.
 func runScale(w io.Writer, pt exp.ScalePoint) error {
-	nodes := pt.PodsX * pt.PodsY * pt.PodSize
-	cs := pt.CSRangeM
-	if cs == 0 {
-		cs = 30
-	}
+	pt = pt.Resolved()
 	fmt.Fprintf(w, "Harbor simulation: %dx%d pods of %d devices (%d nodes), %g m carrier sense, %s\n",
-		pt.PodsX, pt.PodsY, pt.PodSize, nodes, cs, pt.Env.Name)
+		pt.PodsX, pt.PodsY, pt.PodSize, pt.PodsX*pt.PodsY*pt.PodSize, pt.CSRangeM, pt.Env.Name)
 	res, err := exp.RunScalePoint(pt)
 	if err != nil {
 		return err
@@ -492,12 +488,9 @@ func runScale(w io.Writer, pt exp.ScalePoint) error {
 // runStream measures one reliable stream transfer and prints the ARQ
 // accounting the image harness aggregates.
 func runStream(w io.Writer, pt exp.StreamPoint) error {
-	window := pt.Window
-	if window == 0 {
-		window = aquago.DefaultStreamWindow
-	}
+	pt = pt.Resolved()
 	fmt.Fprintf(w, "Stream simulation: %d bytes over %g m, %s, %s mode, window %d, %d retransmission(s) per segment\n",
-		pt.Bytes, pt.RangeM, pt.Env.Name, modeName(pt.Mode), window, pt.Retries)
+		pt.Bytes, pt.RangeM, pt.Env.Name, modeName(pt.Mode), pt.Window, pt.Retries)
 	res, err := exp.RunStreamPoint(pt)
 	if err != nil {
 		return err
@@ -517,6 +510,7 @@ func runStream(w io.Writer, pt exp.StreamPoint) error {
 // runImage measures one progressive image transmission and prints the
 // goodput and preview numbers the image harness sweeps.
 func runImage(w io.Writer, pt exp.ImagePoint) error {
+	pt = pt.Resolved()
 	transport := "direct stream"
 	switch {
 	case pt.Hops > 1:

@@ -317,8 +317,7 @@ func (l *Link) transmitTimeVarying(tx []float64) []float64 {
 		factor := 1 / (1 + inst/SoundSpeed)
 		tx = dsp.ResampleLinear(tx, factor)
 	}
-	l.scratchA = l.conv.ApplyTo(l.scratchA, tx)
-	l.scratchB = l.convAlt.ApplyTo(l.scratchB, tx)
+	l.scratchA, l.scratchB = dsp.ApplyPairTo(l.conv, l.convAlt, l.scratchA, l.scratchB, tx)
 	a, b := l.scratchA, l.scratchB
 	// The two realizations may have slightly different lengths.
 	n := max(len(a), len(b))

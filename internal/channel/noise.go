@@ -41,8 +41,9 @@ func NewNoiseGen(env Environment, sampleRate int, seed int64) *NoiseGen {
 		levelRMS:   NoiseRefRMS * dsp.AmpFromDB(env.NoiseDB),
 		rng:        rand.New(rand.NewSource(seed)),
 	}
-	g.shape = dsp.NewFIRState(&dsp.FIR{Taps: noiseShapeTaps(sampleRate)})
-	g.calib = shapeCalibration(sampleRate)
+	shape := noiseShapeFor(sampleRate)
+	g.shape = dsp.NewFIRState(&dsp.FIR{Taps: shape.taps})
+	g.calib = shape.calib
 	g.tonePhases = make([]float64, len(env.TonalHz))
 	for i := range g.tonePhases {
 		g.tonePhases[i] = 2 * math.Pi * g.rng.Float64()
@@ -51,34 +52,41 @@ func NewNoiseGen(env Environment, sampleRate int, seed int64) *NoiseGen {
 	return g
 }
 
+// noiseShape is the coloring filter of one sample rate: its taps and
+// the in-band RMS they produce for unit-variance white input, which
+// Generate divides out to hit the environment's target level exactly.
+type noiseShape struct {
+	taps  []float64 // shared; NewFIRState copies them
+	calib float64
+}
+
 var (
-	calibMu    sync.Mutex
-	calibCache = map[int]float64{}
+	noiseShapeMu    sync.Mutex
+	noiseShapeCache = map[int]noiseShape{}
 )
 
-// shapeCalibration measures (once per sample rate) the in-band RMS
-// the coloring filter produces for unit-variance white input, so
-// Generate can hit the environment's target level exactly.
-func shapeCalibration(sampleRate int) float64 {
-	calibMu.Lock()
-	defer calibMu.Unlock()
-	if v, ok := calibCache[sampleRate]; ok {
+// noiseShapeFor designs and calibrates the coloring filter once per
+// sample rate: every receive window builds a NoiseGen.
+func noiseShapeFor(sampleRate int) noiseShape {
+	noiseShapeMu.Lock()
+	defer noiseShapeMu.Unlock()
+	if v, ok := noiseShapeCache[sampleRate]; ok {
 		return v
 	}
+	v := noiseShape{taps: noiseShapeTaps(sampleRate)}
 	probe := make([]float64, 8192)
 	r := rand.New(rand.NewSource(1))
 	for i := range probe {
 		probe[i] = r.NormFloat64()
 	}
-	tmp := dsp.NewFIRState(&dsp.FIR{Taps: noiseShapeTaps(sampleRate)})
-	out := tmp.Process(probe)
+	out := dsp.NewFIRState(&dsp.FIR{Taps: v.taps}).Process(probe)
 	bp := dsp.DesignBandpass(1000, 4000, float64(sampleRate), 128, dsp.Hamming)
 	band := bp.Filter(out)
-	v := dsp.RMS(band[256:])
-	if v <= 0 {
-		v = 1
+	v.calib = dsp.RMS(band[256:])
+	if v.calib <= 0 {
+		v.calib = 1
 	}
-	calibCache[sampleRate] = v
+	noiseShapeCache[sampleRate] = v
 	return v
 }
 

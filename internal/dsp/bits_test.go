@@ -20,6 +20,7 @@ var dspBitsDigests = map[string]string{
 	"Plan":            "e14dc2011f33dc19",
 	"RealPlan":        "c8633ee02baf3fb9",
 	"AutoCorrelation": "df295e5c6633f35e",
+	"OverlapAdd":      "f1bff58e9867346c",
 }
 
 // skipOffAMD64 skips a bit-pinning test on other architectures: arm64
@@ -100,6 +101,7 @@ func TestDSPBitsPinned(t *testing.T) {
 		"Plan":            planBitsDigest(),
 		"RealPlan":        realPlanBitsDigest(),
 		"AutoCorrelation": autoCorrelationBitsDigest(),
+		"OverlapAdd":      overlapAddBitsDigest(),
 	}
 	for name, want := range dspBitsDigests {
 		if got[name] != want {
@@ -198,6 +200,26 @@ func autoCorrelationBitsDigest() string {
 			r := AutoCorrelation(x, lag)
 			h.mark(len(r))
 			h.f(r...)
+		}
+	}
+	return h.sum()
+}
+
+// overlapAddBitsDigest convolves the channel's shapes: kernels of
+// 1,385 and 2,013 taps (the lake links' composite responses) with
+// signed zeros and zero-padded tails, at every input length of
+// overlapAddLengths, so each per-call transform size, the block edges
+// and the full-size block loop are pinned.
+func overlapAddBitsDigest() string {
+	var h bitHash
+	rng := rand.New(rand.NewSource(4000))
+	for _, nk := range []int{1385, 2013} {
+		oa := NewOverlapAdd(signedZeroReal(nk, nk-nk/8, rng))
+		var out []float64
+		for _, nx := range overlapAddLengths(oa) {
+			out = oa.ApplyTo(out, signedZeroReal(nx, nx-nx/5, rng))
+			h.mark(len(out))
+			h.f(out...)
 		}
 	}
 	return h.sum()

@@ -1,5 +1,7 @@
 package dsp
 
+import "math/bits"
+
 // Convolve returns the full linear convolution of a and b
 // (length len(a)+len(b)-1). Small workloads use the direct O(n*m)
 // algorithm; larger ones switch to FFT overlap-free convolution.
@@ -61,13 +63,21 @@ func halfSpectra(p *RealPlan, buf, a, b []float64) (fa, fb []complex128) {
 // applied to arbitrarily long signals, using the overlap-add method.
 // It exists because the channel simulator convolves hundreds of long
 // waveforms with the same few-hundred-tap impulse response.
+//
+// The transform size is chosen per call. An input that fits one block
+// is convolved in one segment at the smallest power of two (at least
+// 256) that holds its whole output; longer inputs run the block loop at
+// the full size, about 8x the kernel. The kernel's half-spectrum is
+// stored once, at the full size: the spectrum at a smaller size m is
+// every (full/m)-th bin of it, exactly, because the kernel fits in m
+// samples and so does not alias.
 type OverlapAdd struct {
 	kernel []float64
-	block  int // input block length per segment
-	plan   *RealPlan
-	kfft   []complex128 // kernel half-spectrum
+	block  int          // input block length per full-size segment
+	plans  []*RealPlan  // plans[log2(m)] for transform size m, built on first use
+	kfft   []complex128 // kernel half-spectrum at the full size
 	spec   []complex128 // segment half-spectrum scratch
-	seg    []float64    // segment scratch, fftSize samples
+	seg    []float64    // segment scratch, full size
 }
 
 // NewOverlapAdd prepares an overlap-add convolver for the kernel.
@@ -81,17 +91,18 @@ func NewOverlapAdd(kernel []float64) *OverlapAdd {
 	if fftSize < 256 {
 		fftSize = 256
 	}
-	block := fftSize - nk + 1
+	full := NewRealPlan(fftSize)
 	oa := &OverlapAdd{
 		kernel: append([]float64(nil), kernel...),
-		block:  block,
-		plan:   NewRealPlan(fftSize),
+		block:  fftSize - nk + 1,
+		plans:  make([]*RealPlan, bits.Len(uint(fftSize))),
+		kfft:   make([]complex128, full.Bins()),
+		spec:   make([]complex128, full.Bins()),
 		seg:    make([]float64, fftSize),
 	}
-	oa.kfft = make([]complex128, oa.plan.Bins())
-	oa.spec = make([]complex128, oa.plan.Bins())
+	oa.plans[len(oa.plans)-1] = full
 	copy(oa.seg, kernel)
-	oa.plan.Forward(oa.kfft, oa.seg)
+	full.Forward(oa.kfft, oa.seg)
 	return oa
 }
 
@@ -125,31 +136,85 @@ func (oa *OverlapAdd) ApplyTo(dst []float64, x []float64) []float64 {
 	if len(x) == 0 {
 		return dst[:0]
 	}
-	n := oa.OutLen(len(x))
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
+	dst = oa.zeroed(dst, len(x))
+	p := oa.planFor(len(x))
 	for start := 0; start < len(x); start += oa.block {
-		end := min(start+oa.block, len(x))
-		chunk := x[start:end]
-		copy(oa.seg, chunk)
-		// Only the tail beyond the chunk needs clearing: the chunk
-		// copy above just overwrote the head.
-		clear(oa.seg[len(chunk):])
-		oa.plan.Forward(oa.spec, oa.seg)
-		for i, k := range oa.kfft {
-			oa.spec[i] *= k
-		}
-		oa.plan.Inverse(oa.seg, oa.spec)
-		limit := len(chunk) + len(oa.kernel) - 1
-		for i, v := range oa.seg[:min(limit, len(dst)-start)] {
-			dst[start+i] += v
-		}
+		chunk := x[start:min(start+oa.block, len(x))]
+		oa.forward(p, chunk)
+		oa.inverseAdd(p, dst[start:], len(chunk))
 	}
 	return dst
+}
+
+// ApplyPairTo convolves x with a's kernel into dstA and with b's into
+// dstB, exactly as a.ApplyTo(dstA, x) and b.ApplyTo(dstB, x) would.
+// When both convolve x in one segment of the same size, the segment's
+// forward transform is computed once and shared, so the pair costs
+// three transforms instead of four. Otherwise it makes the two calls.
+func ApplyPairTo(a, b *OverlapAdd, dstA, dstB, x []float64) ([]float64, []float64) {
+	if len(x) == 0 || len(x) > a.block || len(x) > b.block {
+		return a.ApplyTo(dstA, x), b.ApplyTo(dstB, x)
+	}
+	pa, pb := a.planFor(len(x)), b.planFor(len(x))
+	if pa.Size() != pb.Size() {
+		return a.ApplyTo(dstA, x), b.ApplyTo(dstB, x)
+	}
+	dstA, dstB = a.zeroed(dstA, len(x)), b.zeroed(dstB, len(x))
+	a.forward(pa, x)
+	copy(b.spec, a.spec[:pa.Bins()])
+	a.inverseAdd(pa, dstA, len(x))
+	b.inverseAdd(pb, dstB, len(x))
+	return dstA, dstB
+}
+
+// zeroed returns dst resized to OutLen(n) and cleared, reallocating
+// only when its capacity is short.
+func (oa *OverlapAdd) zeroed(dst []float64, n int) []float64 {
+	n = oa.OutLen(n)
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	return dst
+}
+
+// planFor returns the plan that convolves an n-sample input: the
+// smallest power of two of at least 256 that holds the whole output
+// when the input fits one block, the full size otherwise.
+func (oa *OverlapAdd) planFor(n int) *RealPlan {
+	i := len(oa.plans) - 1
+	if n <= oa.block {
+		i = bits.Len(uint(max(256, NextPow2(oa.OutLen(n))))) - 1
+	}
+	if oa.plans[i] == nil {
+		oa.plans[i] = NewRealPlan(1 << i)
+	}
+	return oa.plans[i]
+}
+
+// forward writes the half-spectrum of chunk, zero-padded to p.Size(),
+// into the spectrum scratch.
+func (oa *OverlapAdd) forward(p *RealPlan, chunk []float64) {
+	seg := oa.seg[:p.Size()]
+	copy(seg, chunk)
+	// Only the tail beyond the chunk needs clearing: the chunk copy
+	// above just overwrote the head.
+	clear(seg[len(chunk):])
+	p.Forward(oa.spec[:p.Bins()], seg)
+}
+
+// inverseAdd multiplies the spectrum scratch by the kernel's spectrum
+// at size p.Size(), transforms it back and adds the segment's output,
+// the convolution of an n-sample chunk, onto dst.
+func (oa *OverlapAdd) inverseAdd(p *RealPlan, dst []float64, n int) {
+	spec, seg := oa.spec[:p.Bins()], oa.seg[:p.Size()]
+	stride := (len(oa.kfft) - 1) / (len(spec) - 1)
+	for i := range spec {
+		spec[i] *= oa.kfft[i*stride]
+	}
+	p.Inverse(seg, spec)
+	for i, v := range seg[:min(n+len(oa.kernel)-1, len(dst))] {
+		dst[i] += v
+	}
 }

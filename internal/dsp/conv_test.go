@@ -82,20 +82,99 @@ func TestConvolveEmpty(t *testing.T) {
 	}
 }
 
+// checkOverlapAdd compares oa.Apply(x) with Convolve within 1e-9 of
+// the output's peak.
+func checkOverlapAdd(t testing.TB, oa *OverlapAdd, kernel, x []float64) {
+	t.Helper()
+	want := Convolve(x, kernel)
+	got := oa.Apply(x)
+	if len(got) != len(want) {
+		t.Fatalf("nk=%d nx=%d: len %d want %d", len(kernel), len(x), len(got), len(want))
+	}
+	if e, peak := maxAbsDiff(got, want), MaxAbs(want); e > 1e-9*peak {
+		t.Errorf("nk=%d nx=%d: max err %g, peak %g", len(kernel), len(x), e, peak)
+	}
+}
+
+// overlapAddLengths returns input lengths for oa's kernel: short
+// inputs, the channel's transmissions (a feedback symbol or ACK of
+// 1,027 samples, two symbols, preamble plus header of 8,707 and a
+// longer 13,351), the edges of oa's block, and inputs whose outputs
+// fall one sample either side of 4,096 and 8,192, where the per-call
+// transform size steps.
+func overlapAddLengths(oa *OverlapAdd) []int {
+	nk := oa.KernelLen()
+	ns := []int{1, 100, 1027, 2054, 8707, 13351, oa.block - 1, oa.block, oa.block + 1}
+	for _, out := range []int{4095, 4096, 4097, 8191, 8192, 8193} {
+		if nx := out - nk + 1; nx >= 1 {
+			ns = append(ns, nx)
+		}
+	}
+	return ns
+}
+
 func TestOverlapAddMatchesConvolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, nk := range []int{1, 5, 67, 128, 480} {
 		kernel := randReal(nk, rng)
 		oa := NewOverlapAdd(kernel)
 		for _, nx := range []int{1, 100, 1000, 5000} {
+			checkOverlapAdd(t, oa, kernel, randReal(nx, rng))
+		}
+	}
+	// The lake links' composite responses run 1,385 to 2,013 taps.
+	for _, nk := range []int{1385, 2013} {
+		kernel := randReal(nk, rng)
+		oa := NewOverlapAdd(kernel)
+		for _, nx := range overlapAddLengths(oa) {
+			checkOverlapAdd(t, oa, kernel, randReal(nx, rng))
+		}
+	}
+}
+
+// TestApplyPairToMatchesApplyTo checks that the shared forward
+// transform changes no bit: ApplyPairTo must equal two independent
+// ApplyTo calls under math.Float64bits, whether the pair shares a
+// transform size (a crossfaded channel's two realizations), picks two
+// sizes, or runs the block loop. The destination buffers carry stale
+// samples from a longer call.
+func TestApplyPairToMatchesApplyTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := []struct {
+		name   string
+		na, nb int
+		nx     []int
+	}{
+		// Both outputs fit 2,048 and 4,096 points: one shared forward.
+		{"equal sizes", 1741, 1745, []int{1, 300, 1027, 2054}},
+		// 2,712 + 1,384 = 4,096 points against 2,712 + 2,012 = 4,724.
+		{"unequal sizes", 1385, 2013, []int{2712, 1027}},
+		// Past one convolver's block or both.
+		{"multi-segment", 1385, 2013, []int{14373, 15001, 30000}},
+	}
+	for _, c := range cases {
+		ka, kb := randReal(c.na, rng), randReal(c.nb, rng)
+		a, b := NewOverlapAdd(ka), NewOverlapAdd(kb)
+		refA, refB := NewOverlapAdd(ka), NewOverlapAdd(kb)
+		stale := randReal(40000, rng)
+		dstA, dstB := append([]float64(nil), stale...), append([]float64(nil), stale...)
+		for _, nx := range c.nx {
 			x := randReal(nx, rng)
-			want := Convolve(x, kernel)
-			got := oa.Apply(x)
-			if len(got) != len(want) {
-				t.Fatalf("nk=%d nx=%d: len %d want %d", nk, nx, len(got), len(want))
-			}
-			if e := maxAbsDiff(got, want); e > 1e-7 {
-				t.Errorf("nk=%d nx=%d: max err %g", nk, nx, e)
+			dstA, dstB = ApplyPairTo(a, b, dstA, dstB, x)
+			for _, r := range []struct {
+				got  []float64
+				ref  *OverlapAdd
+				side string
+			}{{dstA, refA, "a"}, {dstB, refB, "b"}} {
+				want := r.ref.Apply(x)
+				if len(r.got) != len(want) {
+					t.Fatalf("%s nx=%d %s: len %d want %d", c.name, nx, r.side, len(r.got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(r.got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s nx=%d %s: sample %d is %g, ApplyTo gives %g", c.name, nx, r.side, i, r.got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -226,18 +305,6 @@ func TestAutoCorrelationBasics(t *testing.T) {
 	}
 }
 
-func BenchmarkOverlapAdd480TapChannel(b *testing.B) {
-	rng := rand.New(rand.NewSource(19))
-	kernel := randReal(480, rng)
-	x := randReal(48000, rng) // one second of audio at 48 kHz
-	oa := NewOverlapAdd(kernel)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oa.Apply(x)
-	}
-}
-
 // BenchmarkOverlapAddApply measures the steady-state convolution cost
 // with a fresh output per call (the Transmit path, whose result
 // escapes to the caller).
@@ -250,6 +317,20 @@ func BenchmarkOverlapAddApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oa.Apply(x)
+	}
+}
+
+// BenchmarkOverlapAddSymbol convolves one 1,027-sample feedback or
+// ACK symbol with a lake link's composite response: a single segment
+// at the smallest transform size that holds its output.
+func BenchmarkOverlapAddSymbol(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	oa := NewOverlapAdd(randReal(1741, rng))
+	x := randReal(1027, rng)
+	var out []float64
+	b.ReportAllocs()
+	for b.Loop() {
+		out = oa.ApplyTo(out, x)
 	}
 }
 
@@ -351,5 +432,22 @@ func FuzzCrossCorrelateMatchesDirect(f *testing.F) {
 		xl := tl + int(nx)%4096
 		rng := rand.New(rand.NewSource(seed))
 		checkCorrelateDirect(t, randReal(xl, rng), randReal(tl, rng))
+	})
+}
+
+// FuzzOverlapAddMatchesConvolve checks OverlapAdd against Convolve at
+// fuzzed kernel and input lengths, which exercises the per-call choice
+// between one right-sized segment and the full-size block loop. The
+// seed corpus in testdata/fuzz holds the block and power-of-two
+// boundaries.
+func FuzzOverlapAddMatchesConvolve(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nk, nx uint16) {
+		// Kernels up to 2,048 taps cover the channel's responses; inputs
+		// up to 20,000 samples reach past a 2,048-tap kernel's block.
+		kl := 1 + int(nk)%2048
+		xl := 1 + int(nx)%20000
+		rng := rand.New(rand.NewSource(seed))
+		kernel := randReal(kl, rng)
+		checkOverlapAdd(t, NewOverlapAdd(kernel), kernel, randReal(xl, rng))
 	})
 }

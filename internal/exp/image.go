@@ -113,8 +113,9 @@ type StreamPoint struct {
 	Env aquago.Environment
 }
 
-// withDefaults resolves the derived knobs.
-func (p StreamPoint) withDefaults() StreamPoint {
+// Resolved returns the point with its defaults filled in: the point
+// RunStreamPoint runs, and the one cmd/aquanet prints.
+func (p StreamPoint) Resolved() StreamPoint {
 	if p.RangeM == 0 {
 		p.RangeM = defaultRangeM
 	}
@@ -127,7 +128,7 @@ func (p StreamPoint) withDefaults() StreamPoint {
 // Validate rejects parameter combinations that cannot run;
 // cmd/aquanet stream surfaces these to users.
 func (p StreamPoint) Validate() error {
-	p = p.withDefaults()
+	p = p.Resolved()
 	switch {
 	case math.IsNaN(p.RangeM) || math.IsInf(p.RangeM, 0) || p.RangeM <= 0:
 		return fmt.Errorf("stream: range %v m is not a usable distance", p.RangeM)
@@ -173,7 +174,7 @@ func RunStreamPoint(p StreamPoint) (StreamResult, error) {
 	if err := p.Validate(); err != nil {
 		return StreamResult{}, err
 	}
-	p = p.withDefaults()
+	p = p.Resolved()
 	env := p.Env
 	if env.Name == "" {
 		env = aquago.Bridge
@@ -298,8 +299,9 @@ type ImagePoint struct {
 	Env aquago.Environment
 }
 
-// withDefaults resolves the derived knobs.
-func (p ImagePoint) withDefaults() ImagePoint {
+// Resolved returns the point with its defaults filled in: the point
+// RunImagePoint runs, and the one cmd/aquanet prints.
+func (p ImagePoint) Resolved() ImagePoint {
 	if p.RangeM == 0 {
 		p.RangeM = defaultRangeM
 	}
@@ -317,7 +319,7 @@ func (p ImagePoint) withDefaults() ImagePoint {
 
 // Validate rejects unusable image points.
 func (p ImagePoint) Validate() error {
-	p = p.withDefaults()
+	p = p.Resolved()
 	switch {
 	case p.Blocks < 1:
 		return fmt.Errorf("image: need at least one block, got %d", p.Blocks)
@@ -376,7 +378,7 @@ func RunImagePoint(p ImagePoint) (ImageResult, error) {
 	if err := p.Validate(); err != nil {
 		return ImageResult{}, err
 	}
-	p = p.withDefaults()
+	p = p.Resolved()
 	if p.Hops > 1 {
 		return runImageRelay(p)
 	}

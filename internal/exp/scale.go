@@ -91,8 +91,9 @@ type ScalePoint struct {
 	Env aquago.Environment
 }
 
-// withDefaults resolves derived knobs.
-func (p ScalePoint) withDefaults() ScalePoint {
+// Resolved returns the point with its defaults filled in: the point
+// RunScalePoint runs, and the one cmd/aquanet prints.
+func (p ScalePoint) Resolved() ScalePoint {
 	if p.CSRangeM == 0 {
 		p.CSRangeM = 30
 	}
@@ -105,7 +106,7 @@ func (p ScalePoint) withDefaults() ScalePoint {
 // Validate rejects harbors that cannot be built; cmd/aquanet scale
 // surfaces these to users.
 func (p ScalePoint) Validate() error {
-	q := p.withDefaults()
+	q := p.Resolved()
 	nodes := q.PodsX * q.PodsY * q.PodSize
 	switch {
 	case q.PodsX < 2:
@@ -189,7 +190,7 @@ func RunScalePoint(p ScalePoint) (ScaleResult, error) {
 	if err := p.Validate(); err != nil {
 		return ScaleResult{}, err
 	}
-	p = p.withDefaults()
+	p = p.Resolved()
 	env := p.Env
 	if env.Name == "" {
 		env = aquago.Bridge
