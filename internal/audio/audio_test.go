@@ -2,9 +2,11 @@ package audio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -122,4 +124,72 @@ func TestPCMConversion(t *testing.T) {
 	if v := PCM16ToFloat(32767); math.Abs(v-1) > 1e-12 {
 		t.Fatalf("PCM16ToFloat(32767) = %g", v)
 	}
+}
+
+// hostileDataChunk is a 20-byte WAV whose data chunk claims 0xFFFFFFFF
+// bytes: padding that odd size to a word wraps a uint32 to zero.
+var hostileDataChunk = []byte("RIFF\x0c\x00\x00\x00WAVEdata\xff\xff\xff\xff")
+
+func TestWAVRejectsOverflowingChunkSize(t *testing.T) {
+	if len(hostileDataChunk) != 20 {
+		t.Fatalf("input is %d bytes, want 20", len(hostileDataChunk))
+	}
+	if _, _, err := ReadWAV(bytes.NewReader(hostileDataChunk)); err == nil {
+		t.Fatal("a chunk size of 0xFFFFFFFF was accepted")
+	}
+}
+
+// TestWAVClaimedSizeNotAllocated checks that a chunk claiming 1 GiB
+// over a few delivered bytes fails as truncated without the reader
+// allocating what the header claims.
+func TestWAVClaimedSizeNotAllocated(t *testing.T) {
+	var in bytes.Buffer
+	if err := WriteWAV(&in, []float64{0.25, -0.25}, 48000); err != nil {
+		t.Fatal(err)
+	}
+	b := in.Bytes()
+	binary.LittleEndian.PutUint32(b[40:44], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadWAV(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated data chunk was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 48-byte file allocated %d bytes", grew)
+	}
+}
+
+// FuzzReadWAV feeds arbitrary bytes to the reader, which must return
+// samples or an error and never panic.
+func FuzzReadWAV(f *testing.F) {
+	for _, samples := range [][]float64{nil, {0}, {0.5, -0.5, 1, -1}, {0.1, 0.2, 0.3}} {
+		var buf bytes.Buffer
+		if err := WriteWAV(&buf, samples, 48000); err != nil {
+			f.Fatal(err)
+		}
+		b := buf.Bytes()
+		f.Add(b)
+		for _, cut := range []int{len(b) - 1, 44, 43, 36, 20, 12} {
+			if cut >= 0 && cut < len(b) {
+				f.Add(b[:cut])
+			}
+		}
+	}
+	f.Add(hostileDataChunk)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		samples, rate, err := ReadWAV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if rate == 0 {
+			t.Fatal("accepted with a zero sample rate")
+		}
+		for i, v := range samples {
+			if math.IsNaN(v) || math.Abs(v) > 32768.0/32767 {
+				t.Fatalf("sample %d is %v", i, v)
+			}
+		}
+	})
 }

@@ -70,11 +70,29 @@ func ReadWAV(r io.Reader) ([]float64, int, error) {
 			return nil, 0, err
 		}
 		size := binary.LittleEndian.Uint32(chunk[4:8])
-		body := make([]byte, size+size%2) // chunks are word aligned
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, 0, fmt.Errorf("audio: truncated chunk %q: %w", chunk[0:4], err)
+		if size == math.MaxUint32 {
+			// Chunks are word aligned, so an odd size carries a pad
+			// byte, and this one would end past any RIFF file.
+			return nil, 0, fmt.Errorf("audio: chunk %q size %d overflows the RIFF size field", chunk[0:4], size)
 		}
-		switch string(chunk[0:4]) {
+		padded := int64(size + size%2)
+		id := string(chunk[0:4])
+		if id != "fmt " && id != "data" {
+			if _, err := io.CopyN(io.Discard, r, padded); err != nil {
+				return nil, 0, fmt.Errorf("audio: truncated chunk %q: %w", id, err)
+			}
+			continue
+		}
+		// Read through a limit rather than allocating the claimed size,
+		// so memory grows only with the bytes the input delivers.
+		body, err := io.ReadAll(io.LimitReader(r, padded))
+		if err != nil {
+			return nil, 0, fmt.Errorf("audio: reading chunk %q: %w", id, err)
+		}
+		if int64(len(body)) < padded {
+			return nil, 0, fmt.Errorf("audio: truncated chunk %q: %w", id, io.ErrUnexpectedEOF)
+		}
+		switch id {
 		case "fmt ":
 			if size < 16 {
 				return nil, 0, errors.New("audio: malformed fmt chunk")

@@ -282,8 +282,7 @@ func (l *Link) Transmit(tx []float64) []float64 {
 	}
 	l.elapsedS += dur
 	if l.noise != nil {
-		n := l.noise.Generate(len(rx))
-		dsp.Add(rx, n)
+		l.noise.AddTo(rx)
 	}
 	return rx
 }

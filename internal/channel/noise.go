@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"aquago/internal/dsp"
@@ -16,9 +17,9 @@ type NoiseGen struct {
 	env        Environment
 	sampleRate int
 	levelRMS   float64 // target in-band (1-4 kHz) RMS
-	shape      *dsp.FIRState
+	shape      *noiseShape
+	hist       [noiseTaps - 1]float64 // last white inputs, carried across calls
 	rng        *rand.Rand
-	calib      float64 // shaping-filter gain compensation
 	tonePhases []float64
 	toneAmp    float64
 }
@@ -40,10 +41,8 @@ func NewNoiseGen(env Environment, sampleRate int, seed int64) *NoiseGen {
 		sampleRate: sampleRate,
 		levelRMS:   NoiseRefRMS * dsp.AmpFromDB(env.NoiseDB),
 		rng:        rand.New(rand.NewSource(seed)),
+		shape:      noiseShapeFor(sampleRate),
 	}
-	shape := noiseShapeFor(sampleRate)
-	g.shape = dsp.NewFIRState(&dsp.FIR{Taps: shape.taps})
-	g.calib = shape.calib
 	g.tonePhases = make([]float64, len(env.TonalHz))
 	for i := range g.tonePhases {
 		g.tonePhases[i] = 2 * math.Pi * g.rng.Float64()
@@ -52,42 +51,75 @@ func NewNoiseGen(env Environment, sampleRate int, seed int64) *NoiseGen {
 	return g
 }
 
-// noiseShape is the coloring filter of one sample rate: its taps and
-// the in-band RMS they produce for unit-variance white input, which
-// Generate divides out to hit the environment's target level exactly.
+// noiseTaps is the length of the ambient-noise coloring filter.
+const noiseTaps = 129
+
+// noiseShape is the coloring filter of one sample rate: its convolver,
+// the in-band RMS it produces for unit-variance white input (which
+// AddTo divides out to hit the environment's target level exactly),
+// and a pool of per-call scratch, so that no generator keeps a
+// window-sized buffer and none transforms the kernel.
 type noiseShape struct {
-	taps  []float64 // shared; NewFIRState copies them
-	calib float64
+	conv    *dsp.OverlapAdd
+	calib   float64
+	scratch sync.Pool // of *noiseScratch
+}
+
+// noiseScratch is one shaping call's working set: a clone of the rate's
+// convolver and the white input and shaped output buffers.
+type noiseScratch struct {
+	conv    *dsp.OverlapAdd
+	in, out []float64
 }
 
 var (
 	noiseShapeMu    sync.Mutex
-	noiseShapeCache = map[int]noiseShape{}
+	noiseShapeCache = map[int]*noiseShape{}
 )
 
 // noiseShapeFor designs and calibrates the coloring filter once per
 // sample rate: every receive window builds a NoiseGen.
-func noiseShapeFor(sampleRate int) noiseShape {
+func noiseShapeFor(sampleRate int) *noiseShape {
 	noiseShapeMu.Lock()
 	defer noiseShapeMu.Unlock()
 	if v, ok := noiseShapeCache[sampleRate]; ok {
 		return v
 	}
-	v := noiseShape{taps: noiseShapeTaps(sampleRate)}
-	probe := make([]float64, 8192)
+	v := &noiseShape{conv: dsp.NewOverlapAdd(noiseShapeTaps(sampleRate))}
+	v.scratch.New = func() any { return &noiseScratch{conv: v.conv.Clone()} }
+	const probeN = 8192
+	sc := v.scratch.Get().(*noiseScratch)
+	in := sc.input(probeN)
+	clear(in[:noiseTaps-1])
+	probe := in[noiseTaps-1:]
 	r := rand.New(rand.NewSource(1))
 	for i := range probe {
 		probe[i] = r.NormFloat64()
 	}
-	out := dsp.NewFIRState(&dsp.FIR{Taps: v.taps}).Process(probe)
 	bp := dsp.DesignBandpass(1000, 4000, float64(sampleRate), 128, dsp.Hamming)
-	band := bp.Filter(out)
+	band := bp.Filter(sc.shape(probeN))
+	v.scratch.Put(sc)
 	v.calib = dsp.RMS(band[256:])
 	if v.calib <= 0 {
 		v.calib = 1
 	}
 	noiseShapeCache[sampleRate] = v
 	return v
+}
+
+// input returns the scratch input for n new white samples: the
+// filter's noiseTaps-1 history samples followed by the n new ones, for
+// the caller to fill.
+func (sc *noiseScratch) input(n int) []float64 {
+	sc.in = slices.Grow(sc.in[:0], noiseTaps-1+n)[:noiseTaps-1+n]
+	return sc.in
+}
+
+// shape filters the scratch input and returns the coloring filter's
+// output for its n new samples, a slice of the scratch.
+func (sc *noiseScratch) shape(n int) []float64 {
+	sc.out = sc.conv.ApplyTo(sc.out, sc.in)
+	return sc.out[noiseTaps-1 : noiseTaps-1+n]
 }
 
 // noiseShapeTaps designs the ambient-noise coloring filter: strong
@@ -117,18 +149,37 @@ func noiseShapeTaps(sampleRate int) []float64 {
 		}
 		amp[k] = dsp.AmpFromDB(db)
 	}
-	return firFromAmplitude(amp, 129)
+	return firFromAmplitude(amp, noiseTaps)
 }
 
 // Generate returns n samples of ambient noise.
 func (g *NoiseGen) Generate(n int) []float64 {
-	white := make([]float64, n)
+	out := make([]float64, n)
+	g.AddTo(out)
+	return out
+}
+
+// AddTo adds the next len(dst) samples of ambient noise onto dst. A
+// stream cut into calls of any lengths is shaped as one linear
+// convolution, since the filter's history carries across calls; only
+// the low-order bits depend on where the cuts fall.
+func (g *NoiseGen) AddTo(dst []float64) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	sc := g.shape.scratch.Get().(*noiseScratch)
+	defer g.shape.scratch.Put(sc)
+	in := sc.input(n)
+	copy(in, g.hist[:])
+	white := in[len(g.hist):]
 	for i := range white {
 		white[i] = g.rng.NormFloat64()
 	}
-	out := g.shape.Process(white)
+	copy(g.hist[:], in[n:])
+	out := sc.shape(n)
 	// Scale so the in-band RMS hits the environment target.
-	dsp.Scale(out, g.levelRMS/g.calib)
+	dsp.Scale(out, g.levelRMS/g.shape.calib)
 	// Tonal interferers.
 	for ti, f := range g.env.TonalHz {
 		w := 2 * math.Pi * f / float64(g.sampleRate)
@@ -154,7 +205,7 @@ func (g *NoiseGen) Generate(n int) []float64 {
 			}
 		}
 	}
-	return out
+	dsp.Add(dst, out)
 }
 
 // InBandRMS returns the generator's target 1-4 kHz noise RMS.

@@ -106,6 +106,21 @@ func NewOverlapAdd(kernel []float64) *OverlapAdd {
 	return oa
 }
 
+// Clone returns a convolver over the same kernel that shares the
+// stored kernel spectrum but owns its scratch and plans, so that
+// concurrent callers can each hold one without transforming the kernel
+// again. Its output is bit-identical to oa's.
+func (oa *OverlapAdd) Clone() *OverlapAdd {
+	return &OverlapAdd{
+		kernel: oa.kernel,
+		block:  oa.block,
+		plans:  make([]*RealPlan, len(oa.plans)),
+		kfft:   oa.kfft,
+		spec:   make([]complex128, len(oa.spec)),
+		seg:    make([]float64, len(oa.seg)),
+	}
+}
+
 // KernelLen returns the kernel length.
 func (oa *OverlapAdd) KernelLen() int { return len(oa.kernel) }
 

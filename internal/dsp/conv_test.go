@@ -362,22 +362,28 @@ func BenchmarkOverlapAddApplyTo(b *testing.B) {
 }
 
 // TestOverlapAddApplyToMatchesApply checks the buffer-reuse path
-// against the allocating path across growing and shrinking inputs.
+// against the allocating path across growing and shrinking inputs, and
+// a clone, interleaved with the original, against both bit for bit.
 func TestOverlapAddApplyToMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kernel := randReal(100, rng)
 	oa := NewOverlapAdd(kernel)
-	var out []float64
+	clone := oa.Clone()
+	var out, cloneOut []float64
 	for _, n := range []int{1000, 5000, 300, 5000, 1} {
 		x := randReal(n, rng)
 		want := oa.Apply(x)
 		out = oa.ApplyTo(out, x)
-		if len(out) != len(want) {
-			t.Fatalf("n=%d: ApplyTo length %d, want %d", n, len(out), len(want))
+		cloneOut = clone.ApplyTo(cloneOut, x)
+		if len(out) != len(want) || len(cloneOut) != len(want) {
+			t.Fatalf("n=%d: ApplyTo length %d, clone %d, want %d", n, len(out), len(cloneOut), len(want))
 		}
 		for i := range want {
 			if math.Abs(out[i]-want[i]) > 1e-9 {
 				t.Fatalf("n=%d: sample %d differs: %g vs %g", n, i, out[i], want[i])
+			}
+			if math.Float64bits(cloneOut[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("n=%d: clone sample %d is %g, original gives %g", n, i, cloneOut[i], out[i])
 			}
 		}
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // FIR is a finite-impulse-response filter described by its tap
-// coefficients. Filtering is stateless (Filter) or streaming
-// (NewFIRState).
+// coefficients. Filter is stateless; a streaming filter over a long
+// signal is an OverlapAdd fed the last len(Taps)-1 inputs of the
+// previous chunk ahead of the next one (channel.NoiseGen does this).
 type FIR struct {
 	Taps []float64
 }
@@ -106,63 +107,4 @@ func (f *FIR) Filter(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, full[delay:])
 	return out
-}
-
-// FIRState is a streaming FIR filter with retained history so that a
-// long signal can be filtered in chunks with no boundary artifacts.
-type FIRState struct {
-	taps []float64
-	hist []float64 // last len(taps)-1 input samples
-}
-
-// NewFIRState returns a streaming filter over the given FIR.
-func NewFIRState(f *FIR) *FIRState {
-	return &FIRState{taps: append([]float64(nil), f.Taps...), hist: make([]float64, len(f.Taps)-1)}
-}
-
-// Process filters one chunk and returns the corresponding output
-// samples (causal, i.e. including the filter's group delay).
-func (s *FIRState) Process(x []float64) []float64 {
-	nt := len(s.taps)
-	ext := make([]float64, len(s.hist)+len(x))
-	copy(ext, s.hist)
-	copy(ext[len(s.hist):], x)
-	out := make([]float64, len(x))
-	// Output i is sum_j taps[j]*ext[i+nt-1-j], accumulated in tap order.
-	// Four outputs per pass share each tap load; each still adds its
-	// products in the same order, so the result is bit-identical to
-	// one output at a time.
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		var a0, a1, a2, a3 float64
-		w := ext[i : i+nt+3]
-		for j, t := range s.taps {
-			v := w[nt-1-j : nt+3-j : nt+3-j]
-			a0 += t * v[0]
-			a1 += t * v[1]
-			a2 += t * v[2]
-			a3 += t * v[3]
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
-	}
-	for ; i < len(x); i++ {
-		var acc float64
-		w := ext[i : i+nt]
-		for j, t := range s.taps {
-			acc += t * w[nt-1-j]
-		}
-		out[i] = acc
-	}
-	// Retain the last nt-1 inputs.
-	if len(ext) >= nt-1 {
-		copy(s.hist, ext[len(ext)-(nt-1):])
-	}
-	return out
-}
-
-// Reset clears the streaming history.
-func (s *FIRState) Reset() {
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
 }

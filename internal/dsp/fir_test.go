@@ -69,101 +69,6 @@ func TestFilterSameLength(t *testing.T) {
 	}
 }
 
-func TestFIRStateMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	f := DesignBandpass(1000, 4000, 48000, 64, Hamming)
-	x := randReal(4096, rng)
-	// Batch causal output = full convolution truncated to len(x).
-	full := Convolve(x, f.Taps)
-	want := full[:len(x)]
-	// Streaming in uneven chunks.
-	s := NewFIRState(f)
-	var got []float64
-	for start := 0; start < len(x); {
-		end := start + 100 + int(rng.Int31n(300))
-		if end > len(x) {
-			end = len(x)
-		}
-		got = append(got, s.Process(x[start:end])...)
-		start = end
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streaming output length %d, want %d", len(got), len(want))
-	}
-	if e := maxAbsDiff(got, want); e > 1e-9 {
-		t.Fatalf("streaming differs from batch: %g", e)
-	}
-}
-
-// scalarFIR is the one-output-at-a-time streaming loop FIRState used
-// before it blocked four outputs per pass, kept verbatim as the
-// bit-exact reference.
-type scalarFIR struct {
-	taps []float64
-	hist []float64
-}
-
-func (s *scalarFIR) Process(x []float64) []float64 {
-	nt := len(s.taps)
-	ext := make([]float64, len(s.hist)+len(x))
-	copy(ext, s.hist)
-	copy(ext[len(s.hist):], x)
-	out := make([]float64, len(x))
-	for i := range x {
-		// ext index of current sample: i + nt - 1
-		var acc float64
-		base := i + nt - 1
-		for j := 0; j < nt; j++ {
-			acc += s.taps[j] * ext[base-j]
-		}
-		out[i] = acc
-	}
-	// Retain the last nt-1 inputs.
-	if len(ext) >= nt-1 {
-		copy(s.hist, ext[len(ext)-(nt-1):])
-	}
-	return out
-}
-
-// TestFIRStateBitIdenticalToScalar pins the blocked loop to the scalar
-// one bit for bit, over every tap count from 1 to 140 and chunk lengths
-// that leave every remainder of the four-wide block, with history
-// carried across calls.
-func TestFIRStateBitIdenticalToScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	chunks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 3, 0, 7}
-	for nt := 1; nt <= 140; nt++ {
-		taps := randReal(nt, rng)
-		got := NewFIRState(&FIR{Taps: taps})
-		want := &scalarFIR{taps: append([]float64(nil), taps...), hist: make([]float64, nt-1)}
-		for _, n := range chunks {
-			x := randReal(n, rng)
-			g, w := got.Process(x), want.Process(x)
-			if len(g) != len(w) {
-				t.Fatalf("taps %d chunk %d: %d outputs, want %d", nt, n, len(g), len(w))
-			}
-			for i := range w {
-				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-					t.Fatalf("taps %d chunk %d: output %d is %v, scalar loop gives %v", nt, n, i, g[i], w[i])
-				}
-			}
-		}
-	}
-}
-
-func TestFIRStateReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	f := DesignLowpass(4000, 48000, 32, Hann)
-	s := NewFIRState(f)
-	x := randReal(500, rng)
-	first := s.Process(x)
-	s.Reset()
-	second := s.Process(x)
-	if maxAbsDiff(first, second) > 1e-12 {
-		t.Fatal("Reset did not clear history")
-	}
-}
-
 func TestDesignValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -224,7 +224,7 @@ func windowPower(wave []float64, off, n int) float64 {
 // identical realizations regardless of scheduling.
 func (wb *WaveBank) AmbientNoise(out []float64, rx int, baseS float64) {
 	ng := channel.NewNoiseGen(wb.med.env, wb.sampleRate, wb.seed^int64(rx)^int64(baseS*1000))
-	dsp.Add(out, ng.Generate(len(out)))
+	ng.AddTo(out)
 }
 
 // Prune drops waves that can no longer reach any receiver at or after
